@@ -160,14 +160,15 @@ class DensityMatrix:
         m = _as_complex(self.mat).copy()
         dims = (int(self.dims[0]), int(self.dims[1]))
         _check_square(m, dims)
-        if float(np.max(np.abs(m - m.conj().T))) > HERM_TOL:
+        # each check is written to fail on NaN and Inf entries
+        if not float(np.max(np.abs(m - m.conj().T))) <= HERM_TOL:
             raise ValueError("density matrix is not Hermitian within 1e-10")
         tr = complex(np.trace(m))
-        if abs(tr - 1.0) > TRACE_TOL:
+        if not abs(tr - 1.0) <= TRACE_TOL:
             raise ValueError(f"density matrix trace {tr} is not 1 within 1e-10")
         vals = np.linalg.eigvalsh(m)
         top = float(np.max(np.abs(vals)))
-        if float(vals[0]) < -PSD_REL_TOL * top:
+        if not float(vals[0]) >= -PSD_REL_TOL * top:
             raise ValueError(f"density matrix has negative eigenvalue {vals[0]:.3e}")
         m.setflags(write=False)
         object.__setattr__(self, "mat", m)

@@ -7,9 +7,17 @@ frequencies through the dual frame gives the linear-inversion estimate
 sum_i (r_i / N) M_i*. Estimates are kept raw (Hermitian but possibly
 non-PSD): projecting onto states would change the acceptance statistic.
 
+A `Povm` holds its elements and duals as read-only stacked (d^2, d, d)
+arrays, so the Born probabilities of a state take one batched product and a
+block of frequency vectors is reconstructed with one matmul against the
+duals. `acceptance_probability` computes the Born distribution of its source
+once per call and handles trials in blocks of `TRIAL_BLOCK`, so its memory
+does not grow with the trial count.
+
 All Monte-Carlo entry points are deterministic per seed, with per-trial
 generators derived from (seed, stream, trial index) so any evaluation order
-gives identical aggregates.
+gives identical aggregates; each trial draws its counts from its own
+generator before its block is reconstructed.
 """
 
 from __future__ import annotations
@@ -18,10 +26,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DensityMatrix, tensor
+# tensor is unused here but kept importable: perfbench/spans.py traces the
+# structural maps at tomography.tensor among other lookup sites
+from .linalg import DensityMatrix, tensor  # noqa: F401
 
 POVM_SUM_TOL = 1e-9
 DUALITY_TOL = 1e-8
+# trials reconstructed and measured together; bounds the batched arrays at
+# TRIAL_BLOCK * d^2 complex entries whatever the trial count
+TRIAL_BLOCK = 256
 
 _STREAM_POVM_A = 10
 _STREAM_POVM_B = 11
@@ -40,42 +53,41 @@ def _derived_rng(seed, *keys: int) -> np.random.Generator:
 
 @dataclass(frozen=True, eq=False)
 class Povm:
-    """IC-POVM: PSD elements summing to identity, with their dual frame."""
+    """IC-POVM: PSD elements summing to identity, with their dual frame.
 
-    elements: tuple[np.ndarray, ...]
-    duals: tuple[np.ndarray, ...]
+    ``elements`` and ``duals`` accept any sequence of d x d matrices and are
+    stored as read-only stacked (d^2, d, d) complex arrays, so ``elements[n]``
+    is M_n and ``duals[n]`` is M_n*. Both tolerance checks fail on NaN or Inf
+    entries.
+    """
+
+    elements: np.ndarray
+    duals: np.ndarray
     dim: int
 
     def __post_init__(self) -> None:
         d = int(self.dim)
-        if len(self.elements) != d * d:
-            raise ValueError(f"need {d * d} elements for informational completeness")
-        if len(self.duals) != len(self.elements):
+        m = d * d
+        elements = np.array(self.elements, dtype=complex)
+        duals = np.array(self.duals, dtype=complex)
+        if elements.shape != (m, d, d):
+            raise ValueError(f"need {m} elements of shape {d}x{d} for informational completeness")
+        if duals.shape != elements.shape:
             raise ValueError("element and dual counts differ")
-        total = sum(self.elements)
-        if float(np.max(np.abs(total - np.eye(d)))) > POVM_SUM_TOL:
+        if not float(np.max(np.abs(elements.sum(axis=0) - np.eye(d)))) <= POVM_SUM_TOL:
             raise ValueError("POVM elements do not sum to identity within 1e-9")
-        gram = np.array(
-            [[np.trace(m @ md).real for md in self.duals] for m in self.elements]
-        )
-        if float(np.max(np.abs(gram - np.eye(d * d)))) > DUALITY_TOL:
+        gram = np.einsum("nij,mji->nm", elements, duals).real
+        if not float(np.max(np.abs(gram - np.eye(m)))) <= DUALITY_TOL:
             raise ValueError("dual frame fails Tr(M_n M_m*) = delta within 1e-8")
-        frozen_e = []
-        frozen_d = []
-        for m, md in zip(self.elements, self.duals):
-            m = np.asarray(m, dtype=complex).copy()
-            md = np.asarray(md, dtype=complex).copy()
-            m.setflags(write=False)
-            md.setflags(write=False)
-            frozen_e.append(m)
-            frozen_d.append(md)
-        object.__setattr__(self, "elements", tuple(frozen_e))
-        object.__setattr__(self, "duals", tuple(frozen_d))
+        elements.setflags(write=False)
+        duals.setflags(write=False)
+        object.__setattr__(self, "elements", elements)
+        object.__setattr__(self, "duals", duals)
         object.__setattr__(self, "dim", d)
 
     @property
     def n_outcomes(self) -> int:
-        return len(self.elements)
+        return self.elements.shape[0]
 
 
 @dataclass(frozen=True)
@@ -95,8 +107,9 @@ class OutcomeCounts:
 def build_ic_povm(d: int, seed, retries: int = 16) -> Povm:
     """Seeded IC-POVM from d^2 random rank-1 projectors P_n via S^{-1/2} P_n S^{-1/2}.
 
-    Retries with a derived seed if the Gram matrix of the elements is rank
-    deficient (astronomically unlikely; guards against degenerate draws).
+    Retries with the next derived seed if the Gram matrix of the elements is
+    rank deficient, or if the computed dual frame misses `Povm`'s 1e-8
+    duality check (an ill-conditioned draw; about one d=3 seed in a thousand).
     """
     if d < 2:
         raise ValueError("need dimension >= 2")
@@ -125,34 +138,48 @@ def build_ic_povm(d: int, seed, retries: int = 16) -> Povm:
         for m_idx in range(d * d):
             dual = sum(coeff[n_idx, m_idx] * elements[n_idx] for n_idx in range(d * d))
             duals.append(0.5 * (dual + dual.conj().T))
-        return Povm(tuple(elements), tuple(duals), d)
+        try:
+            return Povm(elements, duals, d)
+        except ValueError:
+            continue
     raise RuntimeError(f"no full-rank IC-POVM after {retries} seeds; RNG fault?")
 
 
 def product_povm(pa: Povm, pb: Povm) -> Povm:
     """Local tensor POVM {P_n ⊗ Q_m}; duals factorize the same way."""
-    elements = tuple(tensor(a, b) for a in pa.elements for b in pb.elements)
-    duals = tuple(tensor(a, b) for a in pa.duals for b in pb.duals)
-    return Povm(elements, duals, pa.dim * pb.dim)
+    return Povm(
+        _kron_stack(pa.elements, pb.elements), _kron_stack(pa.duals, pb.duals), pa.dim * pb.dim
+    )
+
+
+def _kron_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Every a[n] ⊗ b[m] at index n * len(b) + m, entry for entry equal to `tensor`."""
+    (ma, da, _), (mb, db, _) = a.shape, b.shape
+    outer = a[:, None, :, None, :, None] * b[None, :, None, :, None, :]
+    return outer.reshape(ma * mb, da * db, da * db)
 
 
 def born_probabilities(rho: DensityMatrix, povm: Povm) -> np.ndarray:
     if rho.dim != povm.dim:
         raise ValueError(f"state dim {rho.dim} does not match POVM dim {povm.dim}")
-    return np.array([np.trace(rho.mat @ m).real for m in povm.elements])
+    return np.trace(rho.mat @ povm.elements, axis1=1, axis2=2).real
+
+
+def _born_distribution(rho: DensityMatrix, povm: Povm) -> np.ndarray:
+    """Born probabilities checked for sign, clipped at 0 and normalized for sampling."""
+    p = born_probabilities(rho, povm)
+    if float(np.min(p)) < -1e-12:
+        raise ValueError(f"negative Born probability {np.min(p):.3e}; invalid inputs")
+    p = np.clip(p, 0.0, None)
+    p /= np.sum(p)
+    return p
 
 
 def sample_outcomes(rho: DensityMatrix, povm: Povm, shots: int, seed) -> OutcomeCounts:
     """i.i.d. categorical samples from the Born probabilities; deterministic per seed."""
     if shots < 1:
         raise ValueError("need at least one shot")
-    p = born_probabilities(rho, povm)
-    if float(np.min(p)) < -1e-12:
-        raise ValueError(f"negative Born probability {np.min(p):.3e}; invalid inputs")
-    p = np.clip(p, 0.0, None)
-    p /= np.sum(p)
-    rng = _derived_rng(seed)
-    counts = rng.multinomial(shots, p)
+    counts = _derived_rng(seed).multinomial(shots, _born_distribution(rho, povm))
     return OutcomeCounts(counts, shots)
 
 
@@ -168,10 +195,9 @@ def reconstruct_from_probabilities(probs: np.ndarray, povm: Povm) -> np.ndarray:
     probs = np.asarray(probs, dtype=float)
     if probs.shape != (povm.n_outcomes,):
         raise ValueError("probability vector length does not match POVM")
-    est = np.zeros((povm.dim, povm.dim), dtype=complex)
-    for p, dual in zip(probs, povm.duals):
-        if p != 0.0:
-            est += p * dual
+    # summed in outcome order, so a single estimate is reproducible to the
+    # bit; acceptance_probability reconstructs its trial blocks by matmul
+    est = np.sum(probs[:, None, None] * povm.duals, axis=0)
     return 0.5 * (est + est.conj().T)
 
 
@@ -180,11 +206,6 @@ def default_product_povm(dims, seed) -> Povm:
     pa = build_ic_povm(dims[0], _entropy(seed, _STREAM_POVM_A))
     pb = build_ic_povm(dims[1], _entropy(seed, _STREAM_POVM_B))
     return product_povm(pa, pb)
-
-
-def _ball_distance(est: np.ndarray, target: DensityMatrix) -> float:
-    vals = np.linalg.eigvalsh(est - target.mat)
-    return 0.5 * float(np.sum(np.abs(vals)))
 
 
 def acceptance_probability(
@@ -202,6 +223,11 @@ def acceptance_probability(
     linear-inversion estimate, and accepts when half the trace norm of
     (estimate - target) is at most eps/2. Standard error of the returned
     fraction is bounded by 1/(2 sqrt(trials)).
+
+    Trial t draws its counts from its own generator, derived from
+    (seed, trial stream, t), out of a Born distribution computed once per
+    call; blocks of `TRIAL_BLOCK` trials are then reconstructed and measured
+    together.
     """
     if n < 2:
         raise ValueError("need n >= 2 copies (n - 1 measured)")
@@ -211,12 +237,22 @@ def acceptance_probability(
         raise ValueError(f"shape mismatch: {target.dims} vs {source.dims}")
     if povm is None:
         povm = default_product_povm(target.dims, seed)
+    p = _born_distribution(source, povm)
+    shots = n - 1
+    d = povm.dim
+    duals = povm.duals.reshape(povm.n_outcomes, d * d)
     accepted = 0
-    for trial in range(trials):
-        counts = sample_outcomes(source, povm, n - 1, _entropy(seed, _STREAM_TRIAL, trial))
-        est = reconstruct(counts, povm)
-        if _ball_distance(est, target) <= eps / 2.0:
-            accepted += 1
+    for start in range(0, trials, TRIAL_BLOCK):
+        counts = np.array(
+            [
+                _derived_rng(seed, _STREAM_TRIAL, t).multinomial(shots, p)
+                for t in range(start, min(start + TRIAL_BLOCK, trials))
+            ]
+        )
+        est = ((counts / shots) @ duals).reshape(-1, d, d)
+        est = 0.5 * (est + est.conj().transpose(0, 2, 1))
+        vals = np.linalg.eigvalsh(est - target.mat)
+        accepted += int(np.count_nonzero(0.5 * np.sum(np.abs(vals), axis=1) <= eps / 2.0))
     return accepted / trials
 
 
@@ -244,8 +280,3 @@ def mixture_acceptance(
             target, member, n, eps, trials, _entropy(seed, _STREAM_MEMBER, idx), povm
         )
     return value
-
-
-def member_seed(seed, idx: int) -> tuple[int, ...]:
-    """The per-member seed entropy mixture_acceptance uses (exposed for tests)."""
-    return _entropy(seed, _STREAM_MEMBER, idx)

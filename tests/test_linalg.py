@@ -355,6 +355,17 @@ class TestDensityMatrix:
         with pytest.raises(ValueError):
             DensityMatrix(bad, (2, 2))  # not Hermitian
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+    @pytest.mark.parametrize("where", [(0, 1), (2, 2)])
+    def test_rejects_non_finite(self, bad, where):
+        m = np.eye(4, dtype=complex) / 4
+        i, j = where
+        m[i, j] = bad
+        m[j, i] = np.conj(bad)
+        # inf - inf in the Hermiticity check warns before the check rejects it
+        with pytest.raises(ValueError), np.errstate(invalid="ignore"):
+            DensityMatrix(m, (2, 2))
+
     def test_immutable(self):
         rho = maximally_mixed((2, 2))
         with pytest.raises(ValueError):

@@ -1,5 +1,7 @@
 """IC-POVMs, linear-inversion reconstruction, and acceptance estimates."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,16 +11,18 @@ from sepkit.states import (
     maximally_mixed,
     random_density,
     random_separable,
+    segment_state,
+    tiles_upb_state,
 )
 from sepkit.states import Ensemble
 from sepkit.tomography import (
+    TRIAL_BLOCK,
     OutcomeCounts,
     Povm,
     acceptance_probability,
     born_probabilities,
     build_ic_povm,
     default_product_povm,
-    member_seed,
     mixture_acceptance,
     product_povm,
     reconstruct,
@@ -47,6 +51,60 @@ def hermitian_basis(d):
             f[j, i] = 1j
             basis.append(f)
     return basis
+
+
+def reference_ic_povm_draw(d, entropy):
+    """One draw of build_ic_povm, written out step by step as a reference.
+
+    Returns (elements, duals) as lists, or None where the Gram test rejects
+    the draw; the Povm duality check is left to the caller.
+    """
+    rng = np.random.default_rng(np.random.SeedSequence(list(entropy)))
+    projs = []
+    for _ in range(d * d):
+        v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        v /= np.linalg.norm(v)
+        projs.append(np.outer(v, v.conj()))
+    vals, vecs = np.linalg.eigh(sum(projs))
+    if vals[0] < 1e-12 * vals[-1]:
+        return None
+    inv_sqrt = (vecs / np.sqrt(vals)) @ vecs.conj().T
+    elements = []
+    for p in projs:
+        m = inv_sqrt @ p @ inv_sqrt
+        elements.append(0.5 * (m + m.conj().T))
+    gram = np.array([[np.trace(a @ b).real for b in elements] for a in elements])
+    gvals = np.linalg.eigvalsh(gram)
+    if gvals[0] < 1e-10 * gvals[-1]:
+        return None
+    coeff = np.linalg.inv(gram)
+    duals = []
+    for m_idx in range(d * d):
+        dual = sum(coeff[n_idx, m_idx] * elements[n_idx] for n_idx in range(d * d))
+        duals.append(0.5 * (dual + dual.conj().T))
+    return elements, duals
+
+
+def reference_estimate(probs, povm):
+    """Linear inversion by accumulating the duals one outcome at a time."""
+    est = np.zeros((povm.dim, povm.dim), dtype=complex)
+    for r, dual in zip(probs, povm.duals):
+        if r != 0.0:
+            est += r * dual
+    return 0.5 * (est + est.conj().T)
+
+
+def reference_acceptance(target, source, n, eps, trials, seed, povm):
+    """The per-trial loop acceptance_probability batches: sample, reconstruct,
+    one eigvalsh per trial. ``seed`` is the entropy tuple."""
+    accepted = 0
+    for trial in range(trials):
+        counts = sample_outcomes(source, povm, n - 1, (*seed, 7, trial))
+        est = reference_estimate(counts.counts / counts.total, povm)
+        vals = np.linalg.eigvalsh(est - target.mat)
+        if 0.5 * float(np.sum(np.abs(vals))) <= eps / 2.0:
+            accepted += 1
+    return accepted / trials
 
 
 class TestBuildIcPovm:
@@ -92,6 +150,47 @@ class TestBuildIcPovm:
         with pytest.raises(ValueError):
             Povm(povm.elements, tuple(2.0 * d for d in povm.duals), 2)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("part", ["elements", "duals"])
+    def test_povm_rejects_non_finite(self, bad, part):
+        povm = build_ic_povm(2, 0)
+        parts = {"elements": povm.elements.copy(), "duals": povm.duals.copy()}
+        parts[part][1, 0, 1] = bad
+        with pytest.raises(ValueError):
+            Povm(parts["elements"], parts["duals"], 2)
+
+    def test_stores_read_only_stacked_arrays(self):
+        povm = build_ic_povm(2, 0)
+        elements = tuple(np.array(m) for m in povm.elements)
+        built = Povm(elements, tuple(povm.duals), 2)
+        for arr, src in ((built.elements, povm.elements), (built.duals, povm.duals)):
+            assert arr.shape == (4, 2, 2)
+            assert arr.dtype == complex
+            assert not arr.flags.writeable
+            assert np.array_equal(arr, src)
+        elements[0][0, 0] = 7.0
+        assert built.elements[0, 0, 0] != 7.0
+        assert built.n_outcomes == 4
+
+    @pytest.mark.parametrize("d, seed", [(2, 0), (2, 9), (3, 1), (3, 37), (3, (5, 11))])
+    def test_seeds_that_pass_first_draw_unchanged(self, d, seed):
+        ref = reference_ic_povm_draw(d, (*np.atleast_1d(seed), 0))
+        povm = build_ic_povm(d, seed)
+        assert np.array_equal(povm.elements, np.array(ref[0]))
+        assert np.array_equal(povm.duals, np.array(ref[1]))
+
+    @pytest.mark.parametrize("master, stream", [(948, 11), (1641, 10)])
+    def test_ill_conditioned_dual_frame_retried(self, master, stream):
+        # the first draw passes the Gram test, but its duals miss the 1e-8 check
+        first = reference_ic_povm_draw(3, (master, stream, 0))
+        with pytest.raises(ValueError):
+            Povm(first[0], first[1], 3)
+        povm = build_ic_povm(3, (master, stream))
+        second = reference_ic_povm_draw(3, (master, stream, 1))
+        assert np.array_equal(povm.elements, np.array(second[0]))
+        assert np.array_equal(povm.duals, np.array(second[1]))
+        assert default_product_povm((3, 3), master).n_outcomes == 81
+
 
 class TestProductPovm:
     def test_element_count_and_duality(self):
@@ -99,6 +198,14 @@ class TestProductPovm:
         pp = product_povm(pa, pb)
         assert pp.n_outcomes == 4 * 9
         assert pp.dim == 6
+
+    def test_elements_are_kronecker_products(self):
+        pa, pb = build_ic_povm(2, 4), build_ic_povm(3, 5)
+        pp = product_povm(pa, pb)
+        for n in range(4):
+            for m in range(9):
+                assert np.array_equal(pp.elements[9 * n + m], tensor(pa.elements[n], pb.elements[m]))
+                assert np.array_equal(pp.duals[9 * n + m], tensor(pa.duals[n], pb.duals[m]))
 
     def test_reconstructs_product_states(self):
         pa, pb = build_ic_povm(2, 6), build_ic_povm(2, 7)
@@ -182,6 +289,13 @@ class TestReconstruct:
         dev = 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(est - phi.mat))))
         assert dev <= 0.1
 
+    @pytest.mark.parametrize("dims, seed", [((2, 2), 11), ((3, 3), 12), ((2, 3), 13)])
+    def test_matches_outcome_order_loop(self, dims, seed):
+        pp = default_product_povm(dims, seed)
+        rho = random_density(dims[0] * dims[1], seed, dims)
+        for probs in (born_probabilities(rho, pp), sample_outcomes(rho, pp, 40, seed).counts / 40):
+            assert np.array_equal(reconstruct_from_probabilities(probs, pp), reference_estimate(probs, pp))
+
     def test_rejects_empty(self):
         povm = build_ic_povm(2, 1)
         with pytest.raises(ValueError):
@@ -227,6 +341,56 @@ class TestAcceptance:
         b = acceptance_probability(phi, phi, 20, 0.75, 50, 5)
         assert a == b
 
+    @pytest.mark.parametrize(
+        "source, n, eps",
+        [("target", 40, 1.2), ("target", 150, 0.75), ("mixed", 150, 2.0), ("segment", 60, 0.75)],
+    )
+    def test_matches_per_trial_loop_default_povm(self, source, n, eps):
+        phi = max_entangled(2)
+        src = {
+            "target": phi,
+            "mixed": maximally_mixed((2, 2)),
+            "segment": segment_state(phi, 0.4),
+        }[source]
+        got = acceptance_probability(phi, src, n, eps, 120, TREND_SEED)
+        pov = default_product_povm((2, 2), TREND_SEED)
+        assert got == reference_acceptance(phi, src, n, eps, 120, (TREND_SEED,), pov)
+        assert 0.0 < got < 1.0
+
+    @pytest.mark.parametrize(
+        "source, n, eps", [("target", 10_000, 3.0), ("target", 100_000, 1.5), ("tiles", 10_000, 3.0)]
+    )
+    def test_matches_per_trial_loop_qutrit_product_povm(self, source, n, eps):
+        phi = max_entangled(3)
+        src = phi if source == "target" else tiles_upb_state()
+        pov = product_povm(build_ic_povm(3, 21), build_ic_povm(3, 22))
+        got = acceptance_probability(phi, src, n, eps, 60, 3, pov)
+        assert got == reference_acceptance(phi, src, n, eps, 60, (3,), pov)
+        assert 0.0 < got < 1.0
+
+    def test_matches_per_trial_loop_across_block_boundary(self):
+        phi = max_entangled(2)
+        trials = TRIAL_BLOCK + 44
+        pov = default_product_povm((2, 2), 5)
+        got = acceptance_probability(phi, phi, 150, 0.75, trials, 5, pov)
+        ref = reference_acceptance(phi, phi, 150, 0.75, trials, (5,), pov)
+        assert got == ref
+        assert 0.0 < got < 1.0
+
+    def test_memory_bounded_by_block_not_trials(self):
+        phi = max_entangled(3)
+        pov = default_product_povm((3, 3), 37)
+
+        def peak_bytes(trials):
+            tracemalloc.start()
+            try:
+                acceptance_probability(phi, phi, 50, 0.75, trials, 1, pov)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak_bytes(4 * TRIAL_BLOCK) < 1.5 * peak_bytes(TRIAL_BLOCK)
+
 
 class TestMixtureAcceptance:
     def test_single_member_matches_acceptance(self):
@@ -235,8 +399,23 @@ class TestMixtureAcceptance:
         ens = Ensemble(((1.0, mix),))
         pov = default_product_povm((2, 2), 0)
         got = mixture_acceptance(ens, phi, 30, 0.9, 80, 0, pov)
-        direct = acceptance_probability(phi, mix, 30, 0.9, 80, member_seed(0, 0), pov)
+        # member 0 samples from the seed entropy (master seed, member stream 17, index)
+        direct = acceptance_probability(phi, mix, 30, 0.9, 80, (0, 17, 0), pov)
         assert got == direct
+
+    def test_matches_per_trial_loop(self):
+        phi = max_entangled(2)
+        ens = Ensemble(
+            ((0.5, phi), (0.3, segment_state(phi, 0.3)), (0.2, maximally_mixed((2, 2))))
+        )
+        got = mixture_acceptance(ens, phi, 150, 1.2, 80, TREND_SEED)
+        pov = default_product_povm((2, 2), TREND_SEED)
+        ref = sum(
+            w * reference_acceptance(phi, member, 150, 1.2, 80, (TREND_SEED, 17, idx), pov)
+            for idx, (w, member) in enumerate(ens.members)
+        )
+        assert got == ref
+        assert 0.0 < got < 1.0
 
     def test_zero_weight_member_ignored(self):
         phi = max_entangled(2)
