@@ -3,7 +3,9 @@
 The library is organized around a small set of layers:
 
 - linalg: dense complex matrices, structural maps (tensor, partial trace,
-  partial transpose, realignment), norms, and the DensityMatrix carrier.
+  partial transpose, realignment), the one PSD rule (psd_floor), and the
+  DensityMatrix carrier, the single state validator, which keeps the
+  ascending spectrum its PSD check computes as ``eigenvalues``.
 - states: constructors and seeded samplers (maximally entangled, tiles UPB,
   random separable mixtures, bipartite tensor powers).
 - criteria: one-shot separability tests (PPT, reduction, entropic,
@@ -53,7 +55,6 @@ from .linalg import (
     singular_values,
     tensor,
     trace_distance,
-    trace_norm,
 )
 from .closure import bipartite_product, closure_check, closure_sweep, symext_closure_check
 from .states import (

@@ -237,7 +237,7 @@ def _cmd_state_make(args) -> tuple[dict, bool]:
 def _cmd_state_show(args) -> tuple[dict, bool]:
     parsed = parse_state_spec(args.state)
     rho = parsed.state
-    vals = np.linalg.eigvalsh(rho.mat)[::-1]
+    vals = rho.eigenvalues[::-1]
     pt_vals = np.linalg.eigvalsh(partial_transpose(rho.mat, rho.dims))
     results = {
         "state": args.state,

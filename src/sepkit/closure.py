@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .criteria import ONE_SHOT_TESTS, Verdict
+from .criteria import ENTROPIES, ONE_SHOT_TESTS, Verdict, marginal_spectra, prefix_diffs
 from .linalg import (
     DensityMatrix,
     partial_trace,
@@ -64,19 +64,6 @@ def realign_product_perms(dims_a, dims_b) -> tuple[np.ndarray, np.ndarray]:
     return pa, pb
 
 
-def _entropy(vals: np.ndarray, alpha) -> float:
-    vals = np.clip(vals, 0.0, None)
-    if alpha == 2:
-        return -float(np.log2(np.sum(vals**2)))
-    vals = vals[vals > 1e-15]
-    return -float(np.sum(vals * np.log2(vals)))
-
-
-def _prefix_dominates(upper: np.ndarray, lower: np.ndarray, tol: float) -> float:
-    """Most negative prefix-sum difference of two equal-length sorted lists."""
-    return float(np.min(np.cumsum(upper) - np.cumsum(lower)))
-
-
 def _closure_sub_assertions(criterion: str, rho: DensityMatrix, sigma: DensityMatrix) -> dict:
     """Structural identity behind the closure proof for one criterion."""
     out: dict[str, float | bool] = {}
@@ -104,27 +91,18 @@ def _closure_sub_assertions(criterion: str, rho: DensityMatrix, sigma: DensityMa
         m2 = float(np.linalg.eigvalsh(0.5 * (term2 + term2.conj().T))[0])
         out["decomposition_margins"] = (m1, m2)
         out["ok"] = min(m1, m2) >= -SUB_ASSERT_TOL
-    elif criterion in ("entropic-2", "entropic-vn"):
-        alpha = 2 if criterion == "entropic-2" else "vn"
+    elif criterion in ENTROPIES:
+        ent = ENTROPIES[criterion]
         prod = bipartite_product(rho, sigma)
-        s_prod = _entropy(np.linalg.eigvalsh(prod.mat), alpha)
-        s_rho = _entropy(np.linalg.eigvalsh(rho.mat), alpha)
-        s_sigma = _entropy(np.linalg.eigvalsh(sigma.mat), alpha)
-        out["additivity_gap"] = abs(s_prod - (s_rho + s_sigma))
+        s_prod = ent(prod.eigenvalues)
+        out["additivity_gap"] = abs(s_prod - (ent(rho.eigenvalues) + ent(sigma.eigenvalues)))
         out["ok"] = out["additivity_gap"] <= 1e-9
     elif criterion == "majorization":
-        prod = bipartite_product(rho, sigma)
-        n = prod.dim
-        lam_global = np.sort(
-            np.kron(np.linalg.eigvalsh(rho.mat), np.linalg.eigvalsh(sigma.mat))
-        )[::-1]
+        lam_global = np.sort(np.kron(rho.eigenvalues, sigma.eigenvalues))[::-1]
         worst = np.inf
-        for keep in ("A", "B"):
-            lam_r = np.linalg.eigvalsh(partial_trace(rho.mat, rho.dims, keep))
-            lam_s = np.linalg.eigvalsh(partial_trace(sigma.mat, sigma.dims, keep))
+        for lam_r, lam_s in zip(marginal_spectra(rho), marginal_spectra(sigma)):
             lam_m = np.sort(np.kron(lam_r, lam_s))[::-1]
-            lam_m = np.concatenate([lam_m, np.zeros(n - lam_m.size)])
-            worst = min(worst, _prefix_dominates(lam_m, lam_global, SUB_ASSERT_TOL))
+            worst = min(worst, float(np.min(prefix_diffs(lam_m, lam_global))))
         out["kron_prefix_margin"] = float(worst)
         out["ok"] = worst >= -SUB_ASSERT_TOL
     elif criterion == "crossnorm":

@@ -16,12 +16,12 @@ from .linalg import (
     DensityMatrix,
     partial_trace,
     partial_transpose,
+    psd_floor,
     realign,
     singular_values,
     tensor,
 )
 
-SPECTRAL_REL_TOL = 1e-9
 PREFIX_ABS_TOL = 1e-10
 ENTROPY_ABS_TOL = 1e-9
 CROSSNORM_ABS_TOL = 1e-9
@@ -42,20 +42,10 @@ class Verdict:
             object.__setattr__(self, "status", "pass" if self.passed else "fail")
 
 
-def _spectral_verdict(name: str, tested: np.ndarray, extra: dict[str, Any]) -> Verdict:
-    vals = np.linalg.eigvalsh(tested)
-    margin = float(vals[0])
-    tol = SPECTRAL_REL_TOL * float(np.max(np.abs(vals)))
-    details = {"tol": tol, **extra}
-    return Verdict(name, margin >= -tol, margin, details)
-
-
 def ppt_test(rho: DensityMatrix) -> Verdict:
     """Positive partial transpose: rho^{T_B} must stay PSD."""
-    pt = partial_transpose(rho.mat, rho.dims)
-    vals = np.linalg.eigvalsh(pt)
-    margin = float(vals[0])
-    tol = SPECTRAL_REL_TOL * float(np.max(np.abs(vals)))
+    vals = np.linalg.eigvalsh(partial_transpose(rho.mat, rho.dims))
+    margin, tol = psd_floor(vals)
     details = {"tol": tol, "pt_eigenvalues": [float(v) for v in vals[::-1]]}
     return Verdict("ppt", margin >= -tol, margin, details)
 
@@ -65,25 +55,32 @@ def reduction_test(rho: DensityMatrix) -> Verdict:
     da, db = rho.dims
     rho_a = partial_trace(rho.mat, rho.dims, "A")
     rho_b = partial_trace(rho.mat, rho.dims, "B")
-    side_b = tensor(np.eye(da), rho_b) - rho.mat
-    side_a = tensor(rho_a, np.eye(db)) - rho.mat
-    vals_b = np.linalg.eigvalsh(side_b)
-    vals_a = np.linalg.eigvalsh(side_a)
-    margin_b, margin_a = float(vals_b[0]), float(vals_a[0])
+    margin_b, tol_b = psd_floor(np.linalg.eigvalsh(tensor(np.eye(da), rho_b) - rho.mat))
+    margin_a, tol_a = psd_floor(np.linalg.eigvalsh(tensor(rho_a, np.eye(db)) - rho.mat))
     margin = min(margin_b, margin_a)
-    top = max(float(np.max(np.abs(vals_b))), float(np.max(np.abs(vals_a))))
-    tol = SPECTRAL_REL_TOL * top
+    tol = max(tol_b, tol_a)
     details = {"tol": tol, "margin_b_side": margin_b, "margin_a_side": margin_a}
     return Verdict("reduction", margin >= -tol, margin, details)
 
 
+def marginal_spectra(rho: DensityMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending spectra of rho_A and rho_B."""
+    return tuple(np.linalg.eigvalsh(partial_trace(rho.mat, rho.dims, keep)) for keep in "AB")
+
+
 def _renyi2(vals: np.ndarray) -> float:
+    vals = np.clip(vals, 0.0, None)
     return -float(np.log2(float(np.sum(vals**2))))
 
 
 def _von_neumann(vals: np.ndarray) -> float:
+    vals = np.clip(vals, 0.0, None)
     vals = vals[vals > _EIG_FLOOR]
     return -float(np.sum(vals * np.log2(vals)))
+
+
+# criterion name -> entropy of a spectrum; negative eigenvalues count as zero
+ENTROPIES = {"entropic-2": _renyi2, "entropic-vn": _von_neumann}
 
 
 def entropic_test(rho: DensityMatrix, alpha: int | str = 2) -> Verdict:
@@ -93,32 +90,36 @@ def entropic_test(rho: DensityMatrix, alpha: int | str = 2) -> Verdict:
     Neumann limit. Zero eigenvalues contribute nothing.
     """
     if alpha == 2:
-        ent = _renyi2
         name = "entropic-2"
     elif alpha in ("vn", "von-neumann", 1):
-        ent = _von_neumann
         name = "entropic-vn"
     else:
         raise ValueError(f"alpha must be 2 or 'vn', got {alpha!r}")
-    vals_ab = np.clip(np.linalg.eigvalsh(rho.mat), 0.0, None)
-    vals_a = np.clip(np.linalg.eigvalsh(partial_trace(rho.mat, rho.dims, "A")), 0.0, None)
-    vals_b = np.clip(np.linalg.eigvalsh(partial_trace(rho.mat, rho.dims, "B")), 0.0, None)
-    s_ab, s_a, s_b = ent(vals_ab), ent(vals_a), ent(vals_b)
+    ent = ENTROPIES[name]
+    s_ab = ent(rho.eigenvalues)
+    s_a, s_b = (ent(vals) for vals in marginal_spectra(rho))
     margin = min(s_ab - s_a, s_ab - s_b)
     details = {"tol": ENTROPY_ABS_TOL, "s_ab": s_ab, "s_a": s_a, "s_b": s_b}
     return Verdict(name, margin >= -ENTROPY_ABS_TOL, margin, details)
 
 
+def prefix_diffs(marginal: np.ndarray, global_: np.ndarray) -> np.ndarray:
+    """Prefix sums of a marginal spectrum minus those of the global spectrum.
+
+    Both are non-increasing; the marginal is zero-padded to the global length.
+    The marginal majorizes the global spectrum when every entry is >= 0.
+    """
+    padded = np.concatenate([marginal, np.zeros(global_.size - marginal.size)])
+    return np.cumsum(padded) - np.cumsum(global_)
+
+
 def majorization_test(rho: DensityMatrix) -> Verdict:
     """Marginal spectra must majorize the global spectrum (prefix-sum dominance)."""
-    n = rho.dim
-    lam_ab = np.sort(np.linalg.eigvalsh(rho.mat))[::-1]
+    lam_ab = rho.eigenvalues[::-1]
     margin = np.inf
     prefix = {}
-    for keep, label in (("A", "a"), ("B", "b")):
-        lam_m = np.sort(np.linalg.eigvalsh(partial_trace(rho.mat, rho.dims, keep)))[::-1]
-        lam_m = np.concatenate([lam_m, np.zeros(n - lam_m.size)])
-        diffs = np.cumsum(lam_m) - np.cumsum(lam_ab)
+    for label, lam_m in zip("ab", marginal_spectra(rho)):
+        diffs = prefix_diffs(lam_m[::-1], lam_ab)
         prefix[f"prefix_diffs_{label}"] = [float(x) for x in diffs]
         margin = min(margin, float(np.min(diffs)))
     details = {"tol": PREFIX_ABS_TOL, **prefix}

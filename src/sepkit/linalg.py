@@ -6,7 +6,7 @@ zero-based indices, and the product basis is ordered |i>|j> <-> i * dim_b + j.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -100,12 +100,16 @@ def realign(m: np.ndarray, dims: Dims) -> np.ndarray:
     return np.ascontiguousarray(t.transpose(2, 0, 3, 1).reshape(da * da, db * db))
 
 
-def hermitian_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (non-increasing) and matching eigenvector columns of a Hermitian matrix."""
+def _hermitian(m: np.ndarray) -> np.ndarray:
     m = _as_complex(m)
     if not is_hermitian(m):
         raise ValueError("matrix is not Hermitian within tolerance")
-    vals, vecs = np.linalg.eigh(m)
+    return m
+
+
+def hermitian_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (non-increasing) and matching eigenvector columns of a Hermitian matrix."""
+    vals, vecs = np.linalg.eigh(_hermitian(m))
     return vals[::-1].copy(), vecs[:, ::-1].copy()
 
 
@@ -114,35 +118,24 @@ def singular_values(m: np.ndarray) -> np.ndarray:
     return np.linalg.svd(_as_complex(m), compute_uv=False)
 
 
-def trace_norm(m: np.ndarray) -> float:
-    return float(np.sum(singular_values(m)))
+def psd_floor(vals: np.ndarray, rel_tol: float = PSD_REL_TOL) -> tuple[float, float]:
+    """Smallest eigenvalue of an ascending spectrum and its PSD tolerance.
 
-
-def hermitian_trace_norm(m: np.ndarray) -> float:
-    """Trace norm of a Hermitian matrix via its eigenvalues."""
-    m = _as_complex(m)
-    if not is_hermitian(m):
-        raise ValueError("matrix is not Hermitian within tolerance")
-    return float(np.sum(np.abs(np.linalg.eigvalsh(m))))
+    The one PSD rule used project-wide: a Hermitian operator is accepted as
+    PSD when its smallest eigenvalue is >= -tol, tol = rel_tol * max|eigenvalue|.
+    """
+    return float(vals[0]), rel_tol * float(np.max(np.abs(vals)))
 
 
 def psd_margin(m: np.ndarray) -> float:
     """Minimum eigenvalue of a Hermitian matrix ("how positive" it is)."""
-    m = _as_complex(m)
-    if not is_hermitian(m):
-        raise ValueError("matrix is not Hermitian within tolerance")
-    vals = np.linalg.eigvalsh(m)
-    return float(vals[0])
+    return psd_floor(np.linalg.eigvalsh(_hermitian(m)))[0]
 
 
 def is_psd(m: np.ndarray, rel_tol: float = PSD_REL_TOL) -> bool:
     """PSD acceptance under the relative tolerance -rel_tol * max|eigenvalue|."""
-    m = _as_complex(m)
-    if not is_hermitian(m):
-        raise ValueError("matrix is not Hermitian within tolerance")
-    vals = np.linalg.eigvalsh(m)
-    top = float(np.max(np.abs(vals))) if vals.size else 0.0
-    return float(vals[0]) >= -rel_tol * top
+    low, tol = psd_floor(np.linalg.eigvalsh(_hermitian(m)), rel_tol)
+    return low >= -tol
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,28 +144,35 @@ class DensityMatrix:
 
     ``dims = (dim_a, dim_b)``; the matrix is (dim_a*dim_b) x (dim_a*dim_b).
     Instances are immutable; all invariants are checked at construction.
+    ``eigenvalues`` is the read-only ascending spectrum computed by that check.
     """
 
     mat: np.ndarray
     dims: Dims
+    eigenvalues: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         m = _as_complex(self.mat).copy()
         dims = (int(self.dims[0]), int(self.dims[1]))
         _check_square(m, dims)
-        # each check is written to fail on NaN and Inf entries
-        if not float(np.max(np.abs(m - m.conj().T))) <= HERM_TOL:
+        # each check is written to fail on NaN and Inf entries; Inf - Inf in
+        # the Hermiticity check is NaN, which fails it without a warning
+        with np.errstate(invalid="ignore"):
+            herm_err = float(np.max(np.abs(m - m.conj().T)))
+        if not herm_err <= HERM_TOL:
             raise ValueError("density matrix is not Hermitian within 1e-10")
         tr = complex(np.trace(m))
         if not abs(tr - 1.0) <= TRACE_TOL:
             raise ValueError(f"density matrix trace {tr} is not 1 within 1e-10")
         vals = np.linalg.eigvalsh(m)
-        top = float(np.max(np.abs(vals)))
-        if not float(vals[0]) >= -PSD_REL_TOL * top:
-            raise ValueError(f"density matrix has negative eigenvalue {vals[0]:.3e}")
+        low, tol = psd_floor(vals)
+        if not low >= -tol:
+            raise ValueError(f"density matrix has negative eigenvalue {low:.3e}")
         m.setflags(write=False)
+        vals.setflags(write=False)
         object.__setattr__(self, "mat", m)
         object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "eigenvalues", vals)
 
     @property
     def dim_a(self) -> int:

@@ -5,11 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .linalg import Dims
-
-
-def _haar_ket(rng: np.random.Generator, d: int) -> np.ndarray:
-    v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-    return v / np.linalg.norm(v)
+from .states import _haar_ket
 
 
 def max_overlap_with_vector(

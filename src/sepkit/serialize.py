@@ -48,6 +48,8 @@ def obj_to_matrix(obj: dict[str, Any]) -> tuple[str, np.ndarray, tuple[int, int]
     im = np.asarray(obj["im"], dtype=float)
     if re.shape != im.shape or re.ndim != 2:
         raise ValueError("re/im parts must be 2D arrays of the same shape")
+    if not (np.all(np.isfinite(re)) and np.all(np.isfinite(im))):
+        raise ValueError("re/im parts must be finite numbers")
     m = re + 1j * im
     dims = obj.get("dims")
     if dims is not None:

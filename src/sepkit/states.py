@@ -21,18 +21,13 @@ from .linalg import (
 DEFAULT_DIM_CAP = 4096
 
 
-def _check_single_density(m: np.ndarray, label: str) -> np.ndarray:
-    m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"{label} is not a square matrix")
-    if float(np.max(np.abs(m - m.conj().T))) > 1e-10:
-        raise ValueError(f"{label} is not Hermitian within 1e-10")
-    if abs(complex(np.trace(m)) - 1.0) > 1e-10:
-        raise ValueError(f"{label} does not have unit trace")
-    vals = np.linalg.eigvalsh(m)
-    if float(vals[0]) < -1e-9 * float(np.max(np.abs(vals))):
-        raise ValueError(f"{label} has negative eigenvalue {vals[0]:.3e}")
-    return m
+def _check_weights(weights: list[float]) -> None:
+    # written to fail on NaN weights
+    w = np.array(weights, dtype=float)
+    if not np.all(w >= -1e-12):
+        raise ValueError("ensemble weights must be non-negative")
+    if not abs(float(np.sum(w)) - 1.0) <= 1e-10:
+        raise ValueError("ensemble weights must sum to 1 within 1e-10")
 
 
 @dataclass(frozen=True, eq=False)
@@ -44,11 +39,7 @@ class Ensemble:
     def __post_init__(self) -> None:
         if not self.members:
             raise ValueError("ensemble needs at least one member")
-        weights = np.array([w for w, _ in self.members], dtype=float)
-        if np.any(weights < -1e-12):
-            raise ValueError("ensemble weights must be non-negative")
-        if abs(float(np.sum(weights)) - 1.0) > 1e-10:
-            raise ValueError("ensemble weights must sum to 1 within 1e-10")
+        _check_weights([w for w, _ in self.members])
         dims = self.members[0][1].dims
         for _, st in self.members:
             if st.dims != dims:
@@ -71,23 +62,13 @@ class ProductEnsemble:
         if not self.members:
             raise ValueError("ensemble needs at least one member")
         da, db = self.dims
-        weights = []
-        checked = []
-        for w, ra, rb in self.members:
-            ra = _check_single_density(ra, "A-factor")
-            rb = _check_single_density(rb, "B-factor")
-            if ra.shape != (da, da) or rb.shape != (db, db):
-                raise ValueError("member factor dimensions do not match ensemble dims")
-            ra.setflags(write=False)
-            rb.setflags(write=False)
-            weights.append(float(w))
-            checked.append((float(w), ra, rb))
-        weights = np.array(weights)
-        if np.any(weights < -1e-12):
-            raise ValueError("ensemble weights must be non-negative")
-        if abs(float(np.sum(weights)) - 1.0) > 1e-10:
-            raise ValueError("ensemble weights must sum to 1 within 1e-10")
-        object.__setattr__(self, "members", tuple(checked))
+        # each factor is validated as a state; its read-only copy is kept
+        checked = tuple(
+            (float(w), DensityMatrix(ra, (1, da)).mat, DensityMatrix(rb, (1, db)).mat)
+            for w, ra, rb in self.members
+        )
+        _check_weights([w for w, _, _ in checked])
+        object.__setattr__(self, "members", checked)
         object.__setattr__(self, "dims", (int(da), int(db)))
 
     def state(self) -> DensityMatrix:

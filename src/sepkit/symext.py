@@ -25,7 +25,6 @@ inconclusive.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -69,23 +68,6 @@ class ExtensionProblem:
     @property
     def total_dim(self) -> int:
         return self.dim_a * self.dim_b**self.copies
-
-    @property
-    def _perm_indices(self) -> list[np.ndarray]:
-        # flat index arrays realizing each permutation of the B factors;
-        # factorial in k, only for small-k use (tests, witnesses)
-        cached = getattr(self, "_perm_cache", None)
-        if cached is not None:
-            return cached
-        da, db, k = self.dim_a, self.dim_b, self.copies
-        shape = [da] + [db] * k
-        base = np.arange(self.total_dim).reshape(shape)
-        perms = []
-        for pi in itertools.permutations(range(k)):
-            axes = [0] + [1 + p for p in pi]
-            perms.append(np.ascontiguousarray(base.transpose(axes)).reshape(-1))
-        object.__setattr__(self, "_perm_cache", perms)
-        return perms
 
     def _swap_indices(self, j: int, m: int) -> np.ndarray:
         # flat index array transposing B_j and B_m (1-based copy labels)

@@ -1,5 +1,7 @@
 """Core linear algebra: structural maps, norms, and their defining identities."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -362,14 +364,27 @@ class TestDensityMatrix:
         i, j = where
         m[i, j] = bad
         m[j, i] = np.conj(bad)
-        # inf - inf in the Hermiticity check warns before the check rejects it
-        with pytest.raises(ValueError), np.errstate(invalid="ignore"):
-            DensityMatrix(m, (2, 2))
+        # rejected with ValueError alone, no RuntimeWarning from inf - inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError):
+                DensityMatrix(m, (2, 2))
 
     def test_immutable(self):
         rho = maximally_mixed((2, 2))
         with pytest.raises(ValueError):
             rho.mat[0, 0] = 5.0
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_eigenvalues_are_the_checked_spectrum(self, seed):
+        rho = random_density(6, seed, (2, 3))
+        assert np.array_equal(rho.eigenvalues, np.linalg.eigvalsh(rho.mat))
+        assert np.all(np.diff(rho.eigenvalues) >= 0)
+        with pytest.raises(ValueError):
+            rho.eigenvalues[0] = 1.0
+        assert "eigenvalues" not in repr(rho)
+        with pytest.raises(TypeError):
+            DensityMatrix(rho.mat, rho.dims, rho.eigenvalues)
 
     def test_shape_check(self):
         with pytest.raises(ValueError):

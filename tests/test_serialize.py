@@ -58,6 +58,15 @@ def test_density_invariants_enforced_on_load():
         obj_to_density(bad)
 
 
+@pytest.mark.parametrize("kind", ["density", "hermitian", "matrix"])
+@pytest.mark.parametrize("part, bad", [("re", np.nan), ("im", np.inf)])
+def test_non_finite_entries_rejected(kind, part, bad):
+    obj = matrix_to_obj(np.eye(4) / 4, kind, (2, 2))
+    obj[part][0][0] = bad
+    with pytest.raises(ValueError, match="finite"):
+        obj_to_matrix(obj)
+
+
 def test_hermitian_kind_checked():
     obj = matrix_to_obj(np.array([[0.0, 1.0], [0.0, 0.0]]), "hermitian")
     with pytest.raises(ValueError, match="[Hh]ermitian"):

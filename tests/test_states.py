@@ -231,6 +231,20 @@ class TestEnsembles:
         bad = np.eye(2)  # trace 2
         with pytest.raises(ValueError):
             ProductEnsemble(((1.0, bad, np.eye(2) / 2),), (2, 2))
+        for entry in (np.nan, np.inf):
+            bad = np.eye(2, dtype=complex) / 2
+            bad[0, 1] = bad[1, 0] = entry
+            with pytest.raises(ValueError):
+                ProductEnsemble(((1.0, bad, np.eye(2) / 2),), (2, 2))
+            with pytest.raises(ValueError):
+                ProductEnsemble(((1.0, np.eye(2) / 2, bad),), (2, 2))
+
+    def test_ensembles_reject_nan_weights(self):
+        half = np.eye(2) / 2
+        with pytest.raises(ValueError, match="weights"):
+            ProductEnsemble(((np.nan, half, half),), (2, 2))
+        with pytest.raises(ValueError, match="weights"):
+            Ensemble(((np.nan, maximally_mixed((2, 2))),))
 
 
 def test_haar_unitary_is_unitary():

@@ -1,5 +1,6 @@
 """Symmetric-extension machinery: projections, explicit extensions, feasibility."""
 
+import itertools
 import json
 from pathlib import Path
 
@@ -31,6 +32,16 @@ DATA = Path(__file__).parent / "data"
 def rand_op(rng, n):
     m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     return m + m.conj().T
+
+
+def perm_indices(problem):
+    """Flat index arrays realizing each permutation of the B factors (k! of them)."""
+    shape = [problem.dim_a] + [problem.dim_b] * problem.copies
+    base = np.arange(problem.total_dim).reshape(shape)
+    return [
+        np.ascontiguousarray(base.transpose([0] + [1 + p for p in pi])).reshape(-1)
+        for pi in itertools.permutations(range(problem.copies))
+    ]
 
 
 class TestSymmetrize:
@@ -65,7 +76,7 @@ class TestSymmetrize:
         rng = np.random.default_rng(5)
         problem = ExtensionProblem(maximally_mixed((2, 2)), 3)
         s = symmetrize_b(rand_op(rng, problem.total_dim), problem)
-        for p in problem._perm_indices:
+        for p in perm_indices(problem):
             assert np.allclose(s[np.ix_(p, p)], s, atol=1e-12)
 
 
@@ -254,7 +265,7 @@ class TestSdpCrossCheck:
         n = da * db * db
         problem = ExtensionProblem(rho, 2)
         x = cp.Variable((n, n), hermitian=True)
-        perm = problem._perm_indices[1]
+        perm = perm_indices(problem)[1]
         p = np.zeros((n, n))
         p[np.arange(n), perm] = 1.0
         cons = [
