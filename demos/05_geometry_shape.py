@@ -27,7 +27,7 @@ def main():
     print(f"{'n':>3} {'witness bound':>14} {'1 - 2^-n':>10}")
     for n in range(1, 6):
         power = tensor_power_bipartite(max_entangled(2), n)
-        sep_max = sep_max_overlap_maxent(2**n, samples=8, seed=n)
+        sep_max = sep_max_overlap_maxent(2**n)
         lb = witness_lower_bound(power, power.mat, sep_max)
         print(f"{n:>3} {lb:>14.9f} {1 - 2.0**-n:>10.6f}")
 

@@ -8,13 +8,13 @@ verified constructively by tensoring explicit extension witnesses.
 """
 
 from sepkit import closure_sweep, random_separable, symext_closure_check
-from sepkit.closure import CLOSURE_CRITERIA
+from sepkit.criteria import ONE_SHOT_TESTS
 
 
 def main():
     print("closure sweeps, 60 passing pairs per criterion at 2x2 (x) 2x2:")
     print(f"{'criterion':<14} {'violations':>10} {'min margin':>12} {'sub-asserts':>12}")
-    for idx, crit in enumerate(CLOSURE_CRITERIA):
+    for idx, crit in enumerate(ONE_SHOT_TESTS):
         rep = closure_sweep(crit, 60, (300 + idx))
         print(
             f"{crit:<14} {rep.violations:>10} {rep.min_margin:>+12.2e}"

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .closure import closure_sweep
-from .criteria import ONE_SHOT_TESTS, run_all
+from .criteria import ENTROPIES, ONE_SHOT_TESTS, symext_verdict
 from .geometry import (
     definetti_bound,
     farness_certificate,
@@ -32,7 +32,7 @@ from .linalg import partial_transpose
 from .productopt import min_overlap_with_span
 from .serialize import density_to_obj, matrix_to_obj
 from .statespec import StateSpecError, parse_state_spec
-from .states import DEFAULT_DIM_CAP, Ensemble, max_entangled, tiles_upb_vectors
+from .states import DEFAULT_DIM_CAP, Ensemble, tiles_upb_vectors
 from .symext import has_symmetric_extension
 from .tomography import acceptance_probability
 
@@ -56,17 +56,15 @@ def _verdict_obj(v) -> dict:
 
 def _cmd_criteria(args) -> tuple[dict, bool]:
     parsed = parse_state_spec(args.state)
+    names = [*ONE_SHOT_TESTS, "symext"]
     if args.only:
         names = [n.strip() for n in args.only.split(",") if n.strip()]
         bad = [n for n in names if n != "symext" and n not in ONE_SHOT_TESTS]
         if bad:
             raise StateSpecError(f"unknown criteria {bad}; known: {sorted(ONE_SHOT_TESTS)} + symext")
-        verdicts = [ONE_SHOT_TESTS[n](parsed.state) for n in names if n != "symext"]
-        if "symext" in names:
-            all_v = run_all(parsed.state, args.symext_k)
-            verdicts += [v for v in all_v if v.criterion.startswith("symext")]
-    else:
-        verdicts = run_all(parsed.state, args.symext_k)
+    verdicts = [ONE_SHOT_TESTS[n](parsed.state) for n in names if n != "symext"]
+    if "symext" in names:
+        verdicts.append(symext_verdict(parsed.state, args.symext_k))
     results = {"state": args.state, "verdicts": [_verdict_obj(v) for v in verdicts]}
     if parsed.kind == "tiles":
         ppt_passed = any(v.criterion == "ppt" and v.passed for v in verdicts)
@@ -147,23 +145,22 @@ def _cmd_geometry_definetti(args) -> tuple[dict, bool]:
 
 def _cmd_geometry_witness(args) -> tuple[dict, bool]:
     parsed = parse_state_spec(args.state)
-    wspec = args.witness
-    if not wspec.startswith("maxent:"):
-        raise StateSpecError(f"only maxent:d witnesses are supported, got {wspec!r}")
-    d = int(wspec.split(":")[1])
+    witness = parse_state_spec(args.witness)
+    if witness.kind != "maxent":
+        raise StateSpecError(f"only maxent:d witnesses are supported, got {args.witness!r}")
+    d = witness.state.dim_a
     if parsed.state.dims != (d, d):
         raise StateSpecError(
             f"witness maxent:{d} needs a state on ({d},{d}), got {parsed.state.dims}"
         )
     try:
-        sep_max = sep_max_overlap_maxent(d, samples=args.samples, seed=args.seed or 0)
+        sep_max = sep_max_overlap_maxent(d)
     except RuntimeError as exc:
         return {"error": str(exc)}, True
-    witness = max_entangled(d)
-    lb = witness_lower_bound(parsed.state, witness.mat, sep_max)
+    lb = witness_lower_bound(parsed.state, witness.state.mat, sep_max)
     results = {
         "state": args.state,
-        "witness": wspec,
+        "witness": args.witness,
         "sep_max": {"value": sep_max, "tol": 1e-6},
         "lower_bound": {"value": lb, "tol": 1e-9},
         "label": "certified lower bound on trace distance from SEP",
@@ -202,16 +199,7 @@ def _cmd_geometry_farness(args) -> tuple[dict, bool]:
 
 
 def _cmd_closure(args) -> tuple[dict, bool]:
-    names = {
-        "ppt": ["ppt"],
-        "reduction": ["reduction"],
-        "entropic": ["entropic-2", "entropic-vn"],
-        "entropic-2": ["entropic-2"],
-        "entropic-vn": ["entropic-vn"],
-        "majorization": ["majorization"],
-        "crossnorm": ["crossnorm"],
-        "symext": ["symext"],
-    }[args.criterion]
+    names = list(ENTROPIES) if args.criterion == "entropic" else [args.criterion]
     sweeps = []
     violated = False
     for name in names:
@@ -251,6 +239,20 @@ def _cmd_state_show(args) -> tuple[dict, bool]:
     return results, False
 
 
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not np.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return value
+
+
 def _add_global_flags(parser: argparse.ArgumentParser, leaf: bool) -> None:
     default = argparse.SUPPRESS if leaf else None
     parser.add_argument(
@@ -264,7 +266,7 @@ def _add_global_flags(parser: argparse.ArgumentParser, leaf: bool) -> None:
         "--seed", type=int, default=default if leaf else 0, help="master seed for seeded commands"
     )
     parser.add_argument(
-        "--tol", type=float, default=default if leaf else None, help="override a tolerance"
+        "--tol", type=_finite_float, default=default if leaf else None, help="override a tolerance"
     )
 
 
@@ -284,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("symext", help="search for a symmetric extension", parents=[common])
     p.add_argument("--state", required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--max-iters", type=int, default=5000)
+    p.add_argument("--max-iters", type=_positive_int, default=5000)
     p.set_defaults(handler=_cmd_symext)
 
     tomo = sub.add_parser("tomo", help="tomography experiments").add_subparsers(
@@ -294,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", required=True)
     p.add_argument("--source", required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--eps", type=float, required=True)
+    p.add_argument("--eps", type=_finite_float, required=True)
     p.add_argument("--trials", type=int, default=400)
     p.set_defaults(handler=_cmd_tomo_accept)
 
@@ -312,13 +314,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = geo.add_parser("witness", help="certified witness lower bound", parents=[common])
     p.add_argument("--state", required=True)
     p.add_argument("--witness", required=True, help="maxent:d")
-    p.add_argument("--samples", type=int, default=16)
     p.set_defaults(handler=_cmd_geometry_witness)
     p = geo.add_parser("farness", help="Monte-Carlo lower bound vs an explicit ansatz", parents=[common])
     p.add_argument("--state", required=True)
     p.add_argument("--ansatz", action="append", required=True)
     p.add_argument("--n-list", required=True)
-    p.add_argument("--eps", type=float, required=True)
+    p.add_argument("--eps", type=_finite_float, required=True)
     p.add_argument("--trials", type=int, default=200)
     p.set_defaults(handler=_cmd_geometry_farness)
 
@@ -326,16 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--criterion",
         required=True,
-        choices=[
-            "ppt",
-            "reduction",
-            "entropic",
-            "entropic-2",
-            "entropic-vn",
-            "majorization",
-            "crossnorm",
-            "symext",
-        ],
+        choices=[*ONE_SHOT_TESTS, "entropic", "symext"],
     )
     p.add_argument("--trials", type=int, default=200)
     p.set_defaults(handler=_cmd_closure)
@@ -382,22 +374,23 @@ def run(args: argparse.Namespace) -> int:
     }
     try:
         results, violated = args.handler(args)
+        if getattr(args, "bare_payload", False):
+            payload = results
+        else:
+            payload = {
+                "command": args.command
+                + ("" if not getattr(args, "subcommand", None) else f" {args.subcommand}"),
+                "version": __version__,
+                "config": config,
+                "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+                "results": results,
+                "invariant_violation": violated,
+            }
+        # a NaN or infinity raises ValueError here instead of reaching the report
+        text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
     except (StateSpecError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if getattr(args, "bare_payload", False):
-        payload = results
-    else:
-        payload = {
-            "command": args.command
-            + ("" if not getattr(args, "subcommand", None) else f" {args.subcommand}"),
-            "version": __version__,
-            "config": config,
-            "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-            "results": results,
-            "invariant_violation": violated,
-        }
-    text = json.dumps(payload, indent=2, sort_keys=False) + "\n"
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)

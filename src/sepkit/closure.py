@@ -31,8 +31,6 @@ from .symext import extend_separable, verify_extension
 SUB_ASSERT_TOL = 1e-8
 VIOLATION_TOL = 1e-8
 
-CLOSURE_CRITERIA = ("ppt", "reduction", "entropic-2", "entropic-vn", "majorization", "crossnorm")
-
 
 def _product_matrix(a: np.ndarray, dims_a, b: np.ndarray, dims_b) -> np.ndarray:
     """Kronecker product regrouped so A-parts precede B-parts."""
@@ -64,14 +62,13 @@ def realign_product_perms(dims_a, dims_b) -> tuple[np.ndarray, np.ndarray]:
     return pa, pb
 
 
-def _closure_sub_assertions(criterion: str, rho: DensityMatrix, sigma: DensityMatrix) -> dict:
-    """Structural identity behind the closure proof for one criterion."""
+def _closure_sub_assertions(
+    criterion: str, rho: DensityMatrix, sigma: DensityMatrix, prod: DensityMatrix
+) -> dict:
+    """Structural identity behind the closure proof; prod is bipartite_product(rho, sigma)."""
     out: dict[str, float | bool] = {}
     if criterion == "ppt":
-        lhs = partial_transpose(
-            _product_matrix(rho.mat, rho.dims, sigma.mat, sigma.dims),
-            (rho.dim_a * sigma.dim_a, rho.dim_b * sigma.dim_b),
-        )
+        lhs = partial_transpose(prod.mat, prod.dims)
         rhs = _product_matrix(
             partial_transpose(rho.mat, rho.dims),
             rho.dims,
@@ -93,7 +90,6 @@ def _closure_sub_assertions(criterion: str, rho: DensityMatrix, sigma: DensityMa
         out["ok"] = min(m1, m2) >= -SUB_ASSERT_TOL
     elif criterion in ENTROPIES:
         ent = ENTROPIES[criterion]
-        prod = bipartite_product(rho, sigma)
         s_prod = ent(prod.eigenvalues)
         out["additivity_gap"] = abs(s_prod - (ent(rho.eigenvalues) + ent(sigma.eigenvalues)))
         out["ok"] = out["additivity_gap"] <= 1e-9
@@ -106,7 +102,6 @@ def _closure_sub_assertions(criterion: str, rho: DensityMatrix, sigma: DensityMa
         out["kron_prefix_margin"] = float(worst)
         out["ok"] = worst >= -SUB_ASSERT_TOL
     elif criterion == "crossnorm":
-        prod = bipartite_product(rho, sigma)
         lhs = realign(prod.mat, prod.dims)
         pa, pb = realign_product_perms(rho.dims, sigma.dims)
         rhs = tensor(realign(rho.mat, rho.dims), realign(sigma.mat, sigma.dims))
@@ -127,7 +122,7 @@ def closure_check(criterion: str, rho: DensityMatrix, sigma: DensityMatrix) -> V
     verdict = test(prod)
     details = dict(verdict.details)
     details["inputs_margins"] = (v_rho.margin, v_sigma.margin)
-    details["sub_assertions"] = _closure_sub_assertions(criterion, rho, sigma)
+    details["sub_assertions"] = _closure_sub_assertions(criterion, rho, sigma, prod)
     return Verdict(verdict.criterion, verdict.passed, verdict.margin, details, verdict.status)
 
 

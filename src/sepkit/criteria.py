@@ -144,11 +144,10 @@ ONE_SHOT_TESTS = {
 }
 
 
-def run_all(rho: DensityMatrix, symext_k: int = 2, **symext_opts) -> list[Verdict]:
-    """All one-shot criteria plus the symmetric-extension search at copies=symext_k."""
+def symext_verdict(rho: DensityMatrix, symext_k: int = 2, **symext_opts) -> Verdict:
+    """The symmetric-extension search as a Verdict; PPT runs only to flag infeasible-evidence."""
     from .symext import has_symmetric_extension
 
-    verdicts = [test(rho) for test in ONE_SHOT_TESTS.values()]
     res = has_symmetric_extension(rho, symext_k, **symext_opts)
     margin = res.tol - res.residual
     status = {"feasible": "pass", "infeasible-evidence": "fail", "inconclusive": "inconclusive"}[
@@ -161,7 +160,12 @@ def run_all(rho: DensityMatrix, symext_k: int = 2, **symext_opts) -> list[Verdic
         "iterations": res.iterations,
         "residual": res.residual,
     }
-    if verdicts[0].passed and res.status == "infeasible-evidence":
+    if res.status == "infeasible-evidence" and ppt_test(rho).passed:
         details["flag"] = "entangled by symmetric-extension evidence despite PPT pass"
-    verdicts.append(Verdict(f"symext-{symext_k}", res.status == "feasible", margin, details, status))
-    return verdicts
+    return Verdict(f"symext-{symext_k}", res.status == "feasible", margin, details, status)
+
+
+def run_all(rho: DensityMatrix, symext_k: int = 2, **symext_opts) -> list[Verdict]:
+    """All one-shot criteria plus the symmetric-extension search at copies=symext_k."""
+    verdicts = [test(rho) for test in ONE_SHOT_TESTS.values()]
+    return verdicts + [symext_verdict(rho, symext_k, **symext_opts)]

@@ -34,21 +34,19 @@ def definetti_bound(dim: int, n: int, k: int) -> float:
     return 2.0 * dim * n / (n + k)
 
 
-def sep_max_overlap_maxent(d: int, samples: int = 16, seed: int = 0) -> float:
+def sep_max_overlap_maxent(d: int) -> float:
     """Maximum overlap Tr(sigma Phi(d)) over separable sigma; equals 1/d.
 
-    Returns the analytic value but always cross-validates it by multi-start
-    optimization of |<a ⊗ b|Phi>|^2 over product unit vectors; a numeric
-    maximum above 1/d + 1e-6 signals a bug and raises.
+    Returns the analytic value but always cross-validates it against the
+    exact maximum of |<a ⊗ b|Phi>|^2 over product unit vectors; a maximum
+    above 1/d + 1e-6 signals a bug and raises.
     """
     if d < 2:
         raise ValueError("need d >= 2")
     analytic = 1.0 / d
-    numeric = max_overlap_with_vector(max_entangled_vector(d), (d, d), starts=samples, seed=seed)
+    numeric = max_overlap_with_vector(max_entangled_vector(d), (d, d))
     if numeric > analytic + OVERLAP_SLACK:
-        raise RuntimeError(
-            f"product-vector search found overlap {numeric} above the bound {analytic}"
-        )
+        raise RuntimeError(f"product-vector overlap {numeric} exceeds the bound {analytic}")
     return analytic
 
 

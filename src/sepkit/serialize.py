@@ -39,8 +39,10 @@ def density_to_obj(rho: DensityMatrix) -> dict[str, Any]:
     return matrix_to_obj(rho.mat, "density", rho.dims)
 
 
-def obj_to_matrix(obj: dict[str, Any]) -> tuple[str, np.ndarray, tuple[int, int] | None]:
-    """Decode a schema document; validates the declared kind's invariants."""
+def _decode(
+    obj: dict[str, Any],
+) -> tuple[str, np.ndarray, tuple[int, int] | None, DensityMatrix | None]:
+    """obj_to_matrix's decoding, plus the state a density payload is validated as."""
     kind = obj.get("kind")
     if kind not in KINDS:
         raise ValueError(f"unknown or missing kind {kind!r}")
@@ -56,19 +58,23 @@ def obj_to_matrix(obj: dict[str, Any]) -> tuple[str, np.ndarray, tuple[int, int]
         dims = (int(dims[0]), int(dims[1]))
     if kind == "hermitian" and not is_hermitian(m):
         raise ValueError("matrix declared hermitian is not Hermitian within tolerance")
-    if kind == "density":
-        if dims is None:
-            raise ValueError("density payloads need explicit dims")
-        DensityMatrix(m, dims)  # runs all state invariants; raises with the failing one
-    return kind, m, dims
+    if kind != "density":
+        return kind, m, dims, None
+    if dims is None:
+        raise ValueError("density payloads need explicit dims")
+    return kind, m, dims, DensityMatrix(m, dims)
+
+
+def obj_to_matrix(obj: dict[str, Any]) -> tuple[str, np.ndarray, tuple[int, int] | None]:
+    """Decode a schema document; validates the declared kind's invariants."""
+    return _decode(obj)[:3]
 
 
 def obj_to_density(obj: dict[str, Any]) -> DensityMatrix:
-    kind, m, dims = obj_to_matrix(obj)
-    if kind != "density":
+    kind, _, _, rho = _decode(obj)
+    if rho is None:
         raise ValueError(f"expected a density payload, got kind={kind!r}")
-    assert dims is not None
-    return DensityMatrix(m, dims)
+    return rho
 
 
 def save_matrix(path: str, m: np.ndarray, kind: str = "matrix", dims=None) -> None:

@@ -10,7 +10,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (
+# partial_trace is unused here but kept importable: perfbench/spans.py traces
+# the structural maps at states.partial_trace among other lookup sites
+from .linalg import (  # noqa: F401
     Dims,
     DensityMatrix,
     partial_trace,
@@ -234,8 +236,3 @@ def tensor_power_bipartite(rho: DensityMatrix, n: int, cap: int = DEFAULT_DIM_CA
 def maximally_mixed(dims: Dims) -> DensityMatrix:
     d = dims[0] * dims[1]
     return DensityMatrix(np.eye(d, dtype=complex) / d, dims)
-
-
-def product_marginals(rho: DensityMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """Both reduced states of a bipartite state."""
-    return partial_trace(rho.mat, rho.dims, "A"), partial_trace(rho.mat, rho.dims, "B")

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import DensityMatrix, tensor
+from .linalg import DensityMatrix, partial_trace, tensor
 from .states import DEFAULT_DIM_CAP, ProductEnsemble
 
 DEFAULT_TOL = 1e-7
@@ -134,14 +134,8 @@ def extend_separable(ens: ProductEnsemble, k: int, cap: int = DEFAULT_DIM_CAP) -
 
 def _trace_out_extra_copies(x: np.ndarray, problem: ExtensionProblem) -> np.ndarray:
     """Tr_{B_2..B_k} X, the marginal on A:B_1."""
-    da, db, k = problem.dim_a, problem.dim_b, problem.copies
-    rest = db ** (k - 1)
-    t = x.reshape(da, db, rest, da, db, rest)
-    return np.einsum("abrcdr->abcd", t).reshape(da * db, da * db)
-
-
-def _trace_out_b(y: np.ndarray, da: int, db: int) -> np.ndarray:
-    return np.einsum("ikjk->ij", y.reshape(da, db, da, db))
+    dims = (problem.dim_a * problem.dim_b, problem.dim_b ** (problem.copies - 1))
+    return partial_trace(x, dims, "A")
 
 
 def project_affine(x: np.ndarray, problem: ExtensionProblem) -> np.ndarray:
@@ -159,7 +153,7 @@ def project_affine(x: np.ndarray, problem: ExtensionProblem) -> np.ndarray:
     alpha = db ** (k - 1) / k
     beta = (k - 1) * db ** (k - 2) / k
     gamma = beta * db / (alpha + beta * db)
-    p_defect = tensor(_trace_out_b(defect, da, db), np.eye(db)) / db
+    p_defect = tensor(partial_trace(defect, (da, db), "A"), np.eye(db)) / db
     w = (defect - gamma * p_defect) / alpha
     lift = tensor(w, np.eye(db ** (k - 1)))
     return xs + symmetrize_b(lift, problem)
@@ -241,14 +235,13 @@ def has_symmetric_extension(
     50-iteration window; otherwise inconclusive at max_iters.
     """
     problem = ExtensionProblem(rho, k, cap)
-    da, db = rho.dims
     face = support_face(problem)
     if face is not None and face.shape[1] == 0:
         n = problem.total_dim
         residual = float(np.linalg.norm(project_affine(np.zeros((n, n)), problem)))
         return FeasibilityResult("infeasible-evidence", residual, 0, None, tol, [])
     if start is None:
-        rho_b = np.einsum("kikj->ij", rho.mat.reshape(da, db, da, db))
+        rho_b = rho.marginal("B")
         x = rho.mat
         for _ in range(k - 1):
             x = tensor(x, rho_b)

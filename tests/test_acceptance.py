@@ -146,7 +146,7 @@ def test_05_epr_power_witness_bounds():
     worst = 0.0
     for n in range(1, 6):
         power = tensor_power_bipartite(max_entangled(2), n)
-        sep_max = sep_max_overlap_maxent(2**n, samples=8, seed=n)  # oracle-validated 2^-n
+        sep_max = sep_max_overlap_maxent(2**n)  # oracle-validated 2^-n
         lb = witness_lower_bound(power, power.mat, sep_max)
         worst = max(worst, abs(lb - (1.0 - 2.0**-n)))
     ok = worst <= 1e-9

@@ -6,7 +6,9 @@ import re
 import numpy as np
 import pytest
 
+import sepkit.cli
 from sepkit.cli import main
+from sepkit.criteria import ONE_SHOT_TESTS
 
 
 def run_cli(capsys, *argv):
@@ -42,6 +44,27 @@ class TestCriteriaCommand:
         assert code == 0
         names = [v["criterion"] for v in parse_report(out)["results"]["verdicts"]]
         assert names == ["ppt", "crossnorm"]
+
+    @pytest.mark.parametrize("state", ["maxent:2", "sep:2:2:2:3"])
+    def test_only_symext_runs_only_named_criteria(self, capsys, monkeypatch, state):
+        ran = []
+        for name in ONE_SHOT_TESTS:
+            if name != "ppt":
+                monkeypatch.setitem(ONE_SHOT_TESTS, name, lambda rho, name=name: ran.append(name))
+        code, out, _ = run_cli(capsys, "criteria", "--state", state, "--only", "ppt,symext", "--json")
+        assert code == 0
+        assert ran == []
+        names = [v["criterion"] for v in parse_report(out)["results"]["verdicts"]]
+        assert names == ["ppt", "symext-2"]
+
+    @pytest.mark.parametrize("state", ["maxent:2", "sep:2:2:2:3", "isotropic:3:0.3"])
+    def test_only_verdicts_match_full_report(self, capsys, state):
+        _, full, _ = run_cli(capsys, "criteria", "--state", state, "--json")
+        _, only, _ = run_cli(capsys, "criteria", "--state", state, "--only", "symext,ppt", "--json")
+        by_name = {v["criterion"]: v for v in parse_report(full)["results"]["verdicts"]}
+        picked = parse_report(only)["results"]["verdicts"]
+        assert [v["criterion"] for v in picked] == ["ppt", "symext-2"]
+        assert picked == [by_name[v["criterion"]] for v in picked]
 
     def test_unknown_criterion_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "criteria", "--state", "maxent:2", "--only", "bogus")
@@ -126,6 +149,15 @@ class TestGeometryCommands:
         res = parse_report(out)["results"]
         assert abs(res["lower_bound"]["value"] - 0.5) < 1e-9
 
+    @pytest.mark.parametrize("witness", ["maxent:2:junk", "maxent", "tiles", "isotropic:2:0.5"])
+    def test_witness_spec_must_be_maxent(self, capsys, witness):
+        code, out, err = run_cli(
+            capsys, "geometry", "witness", "--state", "maxent:2", "--witness", witness, "--json"
+        )
+        assert code == 1
+        assert out == ""
+        assert "error" in err
+
     def test_farness_labels_ansatz(self, capsys):
         code, out, _ = run_cli(
             capsys, "geometry", "farness", "--state", "maxent:2", "--ansatz", "isotropic:2:0",
@@ -189,6 +221,34 @@ class TestReportContract:
     def test_usage_error_exit_one(self, capsys):
         code, _, err = run_cli(capsys, "criteria", "--state", "nope:1")
         assert code == 1
+        assert "error" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["symext", "--state", "random:2:2:1", "--k", "2", "--max-iters", "0"],
+            ["symext", "--state", "random:2:2:1", "--k", "2", "--max-iters", "-3"],
+            ["symext", "--state", "random:2:2:1", "--k", "2", "--tol", "nan"],
+            ["symext", "--state", "random:2:2:1", "--k", "2", "--tol=-inf"],
+            ["geometry", "boundary", "--state", "sep:2:2:4:8", "--tol", "inf"],
+            ["tomo", "accept", "--target", "maxent:2", "--source", "maxent:2",
+             "--n", "5", "--eps", "nan", "--trials", "4"],
+            ["geometry", "farness", "--state", "maxent:2", "--ansatz", "isotropic:2:0",
+             "--n-list", "2", "--eps", "inf", "--trials", "4"],
+        ],
+    )
+    def test_non_finite_or_nonpositive_options_exit_one(self, capsys, argv):
+        code, out, _ = run_cli(capsys, *argv, "--json")
+        assert code == 1
+        assert out == ""
+
+    def test_non_finite_result_never_written(self, capsys, monkeypatch):
+        monkeypatch.setattr(sepkit.cli, "definetti_bound", lambda dim, n, k: float("nan"))
+        code, out, err = run_cli(
+            capsys, "geometry", "definetti", "--dim", "4", "--n", "1", "--k", "99", "--json"
+        )
+        assert code == 1
+        assert out == ""
         assert "error" in err
 
     def test_missing_file_exit_one(self, capsys):

@@ -3,14 +3,15 @@
 import numpy as np
 import pytest
 
+import sepkit.closure
 from sepkit.closure import (
-    CLOSURE_CRITERIA,
     bipartite_product,
     closure_check,
     closure_sweep,
     realign_product_perms,
     symext_closure_check,
 )
+from sepkit.criteria import ONE_SHOT_TESTS
 from sepkit.linalg import partial_trace, partial_transpose, realign, tensor
 from sepkit.states import (
     max_entangled,
@@ -93,7 +94,7 @@ class TestClosureCheck:
         with pytest.raises(ValueError):
             closure_check("ppt", max_entangled(2), maximally_mixed((2, 2)))
 
-    @pytest.mark.parametrize("criterion", CLOSURE_CRITERIA)
+    @pytest.mark.parametrize("criterion", ONE_SHOT_TESTS)
     def test_separable_pairs_close(self, criterion):
         rho, _ = random_separable((2, 2), 3, 20)
         sigma, _ = random_separable((2, 2), 2, 21)
@@ -101,11 +102,9 @@ class TestClosureCheck:
         assert verdict.passed
         assert verdict.details["sub_assertions"]["ok"]
 
-    @pytest.mark.parametrize("criterion", CLOSURE_CRITERIA)
+    @pytest.mark.parametrize("criterion", ONE_SHOT_TESTS)
     def test_ppt_entangled_pairs_close(self, criterion):
         # PPT states that pass the criterion must stay passing under products
-        from sepkit.criteria import ONE_SHOT_TESTS
-
         test = ONE_SHOT_TESTS[criterion]
         candidates = []
         seed = 0
@@ -117,9 +116,23 @@ class TestClosureCheck:
         verdict = closure_check(criterion, candidates[0], candidates[1])
         assert verdict.passed
 
+    @pytest.mark.parametrize("criterion", ONE_SHOT_TESTS)
+    def test_builds_the_product_once(self, criterion, monkeypatch):
+        calls = []
+
+        def counting(rho, sigma, *args):
+            calls.append(1)
+            return bipartite_product(rho, sigma, *args)
+
+        monkeypatch.setattr(sepkit.closure, "bipartite_product", counting)
+        rho, _ = random_separable((2, 2), 3, 22)
+        sigma, _ = random_separable((2, 2), 2, 23)
+        closure_check(criterion, rho, sigma)
+        assert len(calls) == 1
+
 
 class TestSweeps:
-    @pytest.mark.parametrize("criterion", CLOSURE_CRITERIA)
+    @pytest.mark.parametrize("criterion", ONE_SHOT_TESTS)
     def test_small_sweep_no_violations(self, criterion):
         rep = closure_sweep(criterion, 20, (40, hash(criterion) % 1000))
         assert rep.violations == 0

@@ -49,14 +49,40 @@ class TestDefinetti:
 
 
 class TestSepMaxOverlap:
-    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("d", range(2, 33))
     def test_analytic_value(self, d):
-        assert sep_max_overlap_maxent(d, samples=12, seed=0) == 1.0 / d
+        assert sep_max_overlap_maxent(d) == 1.0 / d
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_numeric_search_attains_bound(self, d):
-        got = max_overlap_with_vector(max_entangled_vector(d), (d, d), starts=12, seed=1)
+        got = max_overlap_with_vector(max_entangled_vector(d), (d, d))
         assert abs(got - 1.0 / d) < 1e-6
+
+    @pytest.mark.parametrize("dims", [(2, 3), (3, 3), (4, 2)])
+    def test_max_overlap_is_exact(self, dims):
+        da, db = dims
+        rng = np.random.default_rng(10 * da + db)
+
+        def unit(n):
+            v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            return v / np.linalg.norm(v)
+
+        psi = unit(da * db)
+        got = max_overlap_with_vector(psi, dims)
+        u, s, vh = np.linalg.svd(psi.reshape(da, db))
+        assert got == pytest.approx(s[0] ** 2, rel=1e-12)
+        # the top singular pair attains it: a = u_0 and b = conj(v_0), row 0 of V^H
+        top = np.kron(u[:, 0], vh[0])
+        assert abs(np.vdot(top, psi)) ** 2 == pytest.approx(got, rel=1e-12)
+        for _ in range(200):
+            assert abs(np.vdot(np.kron(unit(da), unit(db)), psi)) ** 2 <= got + 1e-12
+
+    def test_overlap_above_bound_raises(self, monkeypatch):
+        import sepkit.geometry
+
+        monkeypatch.setattr(sepkit.geometry, "max_overlap_with_vector", lambda psi, dims: 0.5 + 2e-6)
+        with pytest.raises(RuntimeError):
+            sep_max_overlap_maxent(2)
 
     def test_sampled_separable_states_respect_bound(self):
         phi_vec = max_entangled_vector(3)

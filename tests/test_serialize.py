@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from sepkit.linalg import DensityMatrix
 from sepkit.serialize import (
     load_density,
     load_matrix,
@@ -53,9 +54,25 @@ def test_density_invariants_enforced_on_load():
     obj = matrix_to_obj(np.eye(4) / 2, "density", (2, 2))  # trace 2
     with pytest.raises(ValueError, match="trace"):
         obj_to_density(obj)
+    with pytest.raises(ValueError, match="trace"):
+        obj_to_matrix(obj)
     bad = matrix_to_obj(np.diag([1.5, -0.5, 0.0, 0.0]), "density", (2, 2))
     with pytest.raises(ValueError, match="eigenvalue"):
         obj_to_density(bad)
+
+
+def test_density_payload_validated_once(monkeypatch):
+    calls = []
+    validate = DensityMatrix.__post_init__
+
+    def counting(self):
+        calls.append(1)
+        validate(self)
+
+    obj = matrix_to_obj(random_density(6, 3, (2, 3)).mat, "density", (2, 3))
+    monkeypatch.setattr(DensityMatrix, "__post_init__", counting)
+    obj_to_density(obj)
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("kind", ["density", "hermitian", "matrix"])
