@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 
@@ -22,6 +21,7 @@ from . import __version__
 from .closure import closure_sweep
 from .criteria import ENTROPIES, ONE_SHOT_TESTS, symext_verdict
 from .geometry import (
+    BISECT_TOL,
     definetti_bound,
     farness_certificate,
     ppt_boundary_bisect,
@@ -32,16 +32,11 @@ from .linalg import partial_transpose
 from .productopt import min_overlap_with_span
 from .serialize import density_to_obj, matrix_to_obj
 from .statespec import StateSpecError, parse_state_spec
-from .states import DEFAULT_DIM_CAP, Ensemble, tiles_upb_vectors
-from .symext import has_symmetric_extension
+from .states import Ensemble, tiles_upb_vectors
+from .symext import DEFAULT_TOL, has_symmetric_extension
 from .tomography import acceptance_probability
 
 TILES_MIN_OVERLAP_THRESHOLD = 1e-3
-
-
-def _dim_cap() -> int:
-    raw = os.environ.get("SEPKIT_DIM_CAP")
-    return int(raw) if raw else DEFAULT_DIM_CAP
 
 
 def _verdict_obj(v) -> dict:
@@ -69,7 +64,7 @@ def _cmd_criteria(args) -> tuple[dict, bool]:
     if parsed.kind == "tiles":
         ppt_passed = any(v.criterion == "ppt" and v.passed for v in verdicts)
         overlap = min_overlap_with_span(
-            tiles_upb_vectors(), (3, 3), starts=32, seed=args.seed or 0
+            tiles_upb_vectors(), (3, 3), starts=32, seed=args.seed
         )
         certified = overlap > TILES_MIN_OVERLAP_THRESHOLD
         results["upb_certificate"] = {
@@ -83,13 +78,7 @@ def _cmd_criteria(args) -> tuple[dict, bool]:
 
 def _cmd_symext(args) -> tuple[dict, bool]:
     parsed = parse_state_spec(args.state)
-    res = has_symmetric_extension(
-        parsed.state,
-        args.k,
-        max_iters=args.max_iters,
-        tol=args.tol or 1e-7,
-        cap=_dim_cap(),
-    )
+    res = has_symmetric_extension(parsed.state, args.k, max_iters=args.max_iters, tol=args.tol)
     results = {
         "state": args.state,
         "copies": args.k,
@@ -123,7 +112,7 @@ def _cmd_tomo_accept(args) -> tuple[dict, bool]:
 def _cmd_geometry_boundary(args) -> tuple[dict, bool]:
     parsed = parse_state_spec(args.state)
     res = ppt_boundary_bisect(
-        parsed.state, tol=args.tol or 1e-6, certified_separable=parsed.ensemble is not None
+        parsed.state, tol=args.tol, certified_separable=parsed.ensemble is not None
     )
     results = {
         "state": args.state,
@@ -246,6 +235,13 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _positive_float(text: str) -> float:
+    value = _finite_float(text)
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"expected a number > 0, got {text!r}")
+    return value
+
+
 def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
@@ -253,31 +249,16 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _add_global_flags(parser: argparse.ArgumentParser, leaf: bool) -> None:
-    default = argparse.SUPPRESS if leaf else None
-    parser.add_argument(
-        "--json",
-        action="store_true",
-        help="suppress the stderr summary",
-        **({"default": default} if leaf else {"default": False}),
-    )
-    parser.add_argument("--out", default=default if leaf else None, help="write the JSON report here")
-    parser.add_argument(
-        "--seed", type=int, default=default if leaf else 0, help="master seed for seeded commands"
-    )
-    parser.add_argument(
-        "--tol", type=_finite_float, default=default if leaf else None, help="override a tolerance"
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="sepkit", description=__doc__)
-    _add_global_flags(parser, leaf=False)
     common = argparse.ArgumentParser(add_help=False)
-    _add_global_flags(common, leaf=True)
+    common.add_argument("--json", action="store_true", help="suppress the stderr summary")
+    common.add_argument("--out", help="write the JSON report here")
+    seeded = argparse.ArgumentParser(add_help=False, parents=[common])
+    seeded.add_argument("--seed", type=int, default=0, help="master seed")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("criteria", help="run separability criteria on a state", parents=[common])
+    p = sub.add_parser("criteria", help="run separability criteria on a state", parents=[seeded])
     p.add_argument("--state", required=True)
     p.add_argument("--only", help="comma list of criteria to run")
     p.add_argument("--symext-k", type=int, default=2)
@@ -287,12 +268,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--state", required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--max-iters", type=_positive_int, default=5000)
+    p.add_argument("--tol", type=_positive_float, default=DEFAULT_TOL)
     p.set_defaults(handler=_cmd_symext)
 
     tomo = sub.add_parser("tomo", help="tomography experiments").add_subparsers(
         dest="subcommand", required=True
     )
-    p = tomo.add_parser("accept", help="Monte-Carlo acceptance probability", parents=[common])
+    p = tomo.add_parser("accept", help="Monte-Carlo acceptance probability", parents=[seeded])
     p.add_argument("--target", required=True)
     p.add_argument("--source", required=True)
     p.add_argument("--n", type=int, required=True)
@@ -305,6 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p = geo.add_parser("boundary", help="bisect the PPT boundary toward Phi(d)", parents=[common])
     p.add_argument("--state", required=True)
+    p.add_argument("--tol", type=_positive_float, default=BISECT_TOL)
     p.set_defaults(handler=_cmd_geometry_boundary)
     p = geo.add_parser("definetti", help="finite de Finetti bound", parents=[common])
     p.add_argument("--dim", type=int, required=True)
@@ -315,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--state", required=True)
     p.add_argument("--witness", required=True, help="maxent:d")
     p.set_defaults(handler=_cmd_geometry_witness)
-    p = geo.add_parser("farness", help="Monte-Carlo lower bound vs an explicit ansatz", parents=[common])
+    p = geo.add_parser("farness", help="Monte-Carlo lower bound vs an explicit ansatz", parents=[seeded])
     p.add_argument("--state", required=True)
     p.add_argument("--ansatz", action="append", required=True)
     p.add_argument("--n-list", required=True)
@@ -323,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=200)
     p.set_defaults(handler=_cmd_geometry_farness)
 
-    p = sub.add_parser("closure", help="tensor-product closure sweep", parents=[common])
+    p = sub.add_parser("closure", help="tensor-product closure sweep", parents=[seeded])
     p.add_argument(
         "--criterion",
         required=True,
@@ -346,7 +329,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _summary_lines(report: dict) -> list[str]:
-    lines = [f"sepkit {report.get('command', '')} (seed {report['config'].get('seed')})"]
+    seed = report["config"].get("seed")
+    lines = [f"sepkit {report['command']}" + ("" if seed is None else f" (seed {seed})")]
     results = report.get("results", {})
     for key, value in results.items():
         if key in ("boundary_state", "witness_extension"):
@@ -388,14 +372,14 @@ def run(args: argparse.Namespace) -> int:
             }
         # a NaN or infinity raises ValueError here instead of reaching the report
         text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
+        if args.out:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
     except (StateSpecError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
     if not args.json and not getattr(args, "bare_payload", False):
         print("\n".join(_summary_lines(payload)), file=sys.stderr)
     return 2 if violated else 0

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .criteria import ENTROPIES, ONE_SHOT_TESTS, Verdict, marginal_spectra, prefix_diffs
+from .criteria import ENTROPIES, ONE_SHOT_TESTS, Verdict, prefix_diffs
 from .linalg import (
     DensityMatrix,
     partial_trace,
@@ -25,11 +25,14 @@ from .linalg import (
     realign,
     tensor,
 )
-from .states import DEFAULT_DIM_CAP, ProductEnsemble, random_density, random_separable
+from .states import ProductEnsemble, check_total_dim, random_density, random_separable
 from .symext import extend_separable, verify_extension
 
 SUB_ASSERT_TOL = 1e-8
 VIOLATION_TOL = 1e-8
+# every sweep pairs two 2 x 2 states; symext sweeps compose 2-copy extensions
+SWEEP_DIMS = (2, 2)
+SWEEP_SYMEXT_K = 2
 
 
 def _product_matrix(a: np.ndarray, dims_a, b: np.ndarray, dims_b) -> np.ndarray:
@@ -40,11 +43,9 @@ def _product_matrix(a: np.ndarray, dims_a, b: np.ndarray, dims_b) -> np.ndarray:
     return permute_systems(m, [da, db, da2, db2], [0, 2, 1, 3])
 
 
-def bipartite_product(rho: DensityMatrix, sigma: DensityMatrix, cap: int = DEFAULT_DIM_CAP) -> DensityMatrix:
+def bipartite_product(rho: DensityMatrix, sigma: DensityMatrix) -> DensityMatrix:
     """Tensor product of two bipartite states on the joined AA':BB' cut."""
-    total = rho.dim * sigma.dim
-    if total > cap:
-        raise ValueError(f"total dimension {total} exceeds cap {cap}")
+    check_total_dim(rho.dim * sigma.dim)
     m = _product_matrix(rho.mat, rho.dims, sigma.mat, sigma.dims)
     return DensityMatrix(m, (rho.dim_a * sigma.dim_a, rho.dim_b * sigma.dim_b))
 
@@ -96,7 +97,7 @@ def _closure_sub_assertions(
     elif criterion == "majorization":
         lam_global = np.sort(np.kron(rho.eigenvalues, sigma.eigenvalues))[::-1]
         worst = np.inf
-        for lam_r, lam_s in zip(marginal_spectra(rho), marginal_spectra(sigma)):
+        for lam_r, lam_s in zip(rho.marginal_spectra, sigma.marginal_spectra):
             lam_m = np.sort(np.kron(lam_r, lam_s))[::-1]
             worst = min(worst, float(np.min(prefix_diffs(lam_m, lam_global))))
         out["kron_prefix_margin"] = float(worst)
@@ -182,15 +183,8 @@ def _sample_passing_state(criterion: str, dims, rng: np.random.Generator) -> Den
     raise RuntimeError(f"could not sample a state passing {criterion}")
 
 
-def closure_sweep(
-    criterion: str,
-    trials: int,
-    seed,
-    dims=(2, 2),
-    dims_other=(2, 2),
-    symext_k: int = 2,
-) -> SweepReport:
-    """Sample passing pairs and count closure violations (expected: zero).
+def closure_sweep(criterion: str, trials: int, seed) -> SweepReport:
+    """Sample passing pairs of SWEEP_DIMS states and count closure violations (expected: zero).
 
     A violation is a product margin below -1e-8 or a failed sub-assertion.
     For criterion='symext' the check is the constructive witness composition
@@ -202,11 +196,13 @@ def closure_sweep(
     sub_failures = 0
     if criterion == "symext":
         for _ in range(trials):
-            _, ens_rho = random_separable(dims, int(rng.integers(1, 5)), int(rng.integers(2**31)))
-            _, ens_sigma = random_separable(
-                dims_other, int(rng.integers(1, 5)), int(rng.integers(2**31))
+            _, ens_rho = random_separable(
+                SWEEP_DIMS, int(rng.integers(1, 5)), int(rng.integers(2**31))
             )
-            res = symext_closure_check(ens_rho, ens_sigma, symext_k)
+            _, ens_sigma = random_separable(
+                SWEEP_DIMS, int(rng.integers(1, 5)), int(rng.integers(2**31))
+            )
+            res = symext_closure_check(ens_rho, ens_sigma, SWEEP_SYMEXT_K)
             margins.append(float(res["psd_margin"]))
             if not res["ok"]:
                 violations += 1
@@ -214,8 +210,8 @@ def closure_sweep(
             "symext", trials, violations, 0, float(np.min(margins)), tuple(margins)
         )
     for _ in range(trials):
-        rho = _sample_passing_state(criterion, dims, rng)
-        sigma = _sample_passing_state(criterion, dims_other, rng)
+        rho = _sample_passing_state(criterion, SWEEP_DIMS, rng)
+        sigma = _sample_passing_state(criterion, SWEEP_DIMS, rng)
         verdict = closure_check(criterion, rho, sigma)
         margins.append(verdict.margin)
         if verdict.margin < -VIOLATION_TOL:

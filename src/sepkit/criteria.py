@@ -63,11 +63,6 @@ def reduction_test(rho: DensityMatrix) -> Verdict:
     return Verdict("reduction", margin >= -tol, margin, details)
 
 
-def marginal_spectra(rho: DensityMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending spectra of rho_A and rho_B."""
-    return tuple(np.linalg.eigvalsh(partial_trace(rho.mat, rho.dims, keep)) for keep in "AB")
-
-
 def _renyi2(vals: np.ndarray) -> float:
     vals = np.clip(vals, 0.0, None)
     return -float(np.log2(float(np.sum(vals**2))))
@@ -91,13 +86,13 @@ def entropic_test(rho: DensityMatrix, alpha: int | str = 2) -> Verdict:
     """
     if alpha == 2:
         name = "entropic-2"
-    elif alpha in ("vn", "von-neumann", 1):
+    elif alpha == "vn":
         name = "entropic-vn"
     else:
         raise ValueError(f"alpha must be 2 or 'vn', got {alpha!r}")
     ent = ENTROPIES[name]
     s_ab = ent(rho.eigenvalues)
-    s_a, s_b = (ent(vals) for vals in marginal_spectra(rho))
+    s_a, s_b = (ent(vals) for vals in rho.marginal_spectra)
     margin = min(s_ab - s_a, s_ab - s_b)
     details = {"tol": ENTROPY_ABS_TOL, "s_ab": s_ab, "s_a": s_a, "s_b": s_b}
     return Verdict(name, margin >= -ENTROPY_ABS_TOL, margin, details)
@@ -118,7 +113,7 @@ def majorization_test(rho: DensityMatrix) -> Verdict:
     lam_ab = rho.eigenvalues[::-1]
     margin = np.inf
     prefix = {}
-    for label, lam_m in zip("ab", marginal_spectra(rho)):
+    for label, lam_m in zip("ab", rho.marginal_spectra):
         diffs = prefix_diffs(lam_m[::-1], lam_ab)
         prefix[f"prefix_diffs_{label}"] = [float(x) for x in diffs]
         margin = min(margin, float(np.min(diffs)))

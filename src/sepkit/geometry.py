@@ -21,6 +21,7 @@ from .states import Ensemble, max_entangled, max_entangled_vector, segment_state
 from .tomography import Povm, acceptance_probability, mixture_acceptance
 
 BISECT_TOL = 1e-6
+WITNESS_TOL = 1e-9
 FIDELITY_SLACK = 1e-8
 OVERLAP_SLACK = 1e-6
 
@@ -50,9 +51,7 @@ def sep_max_overlap_maxent(d: int) -> float:
     return analytic
 
 
-def witness_lower_bound(
-    rho: DensityMatrix, witness: np.ndarray, sep_max: float, tol: float = 1e-9
-) -> float:
+def witness_lower_bound(rho: DensityMatrix, witness: np.ndarray, sep_max: float) -> float:
     """Certified lower bound max(0, Tr(W rho) - sep_max) on the distance from SEP.
 
     Valid whenever 0 <= W <= I and sep_max upper-bounds Tr(W sigma) over
@@ -62,7 +61,7 @@ def witness_lower_bound(
     vals = np.linalg.eigvalsh(0.5 * (w + w.conj().T))
     if float(np.max(np.abs(w - w.conj().T))) > 1e-10:
         raise ValueError("witness is not Hermitian")
-    if float(vals[0]) < -tol or float(vals[-1]) > 1.0 + tol:
+    if float(vals[0]) < -WITNESS_TOL or float(vals[-1]) > 1.0 + WITNESS_TOL:
         raise ValueError("witness is not between 0 and identity")
     value = float(np.trace(w @ rho.mat).real) - sep_max
     return max(0.0, value)
@@ -122,6 +121,9 @@ def ppt_boundary_bisect(
     whether it is within 1/sqrt(d) + 1e-6; that bound is guaranteed only when
     rho is certified separable by construction (certified_separable=True).
     """
+    # written to fail on NaN; a tol <= 0 would never end the bisection
+    if not 0.0 < tol < 1.0:
+        raise ValueError(f"bisection tolerance must lie in (0, 1), got {tol}")
     d = rho.dim_a
     if rho.dim_b != d or d < 2:
         raise ValueError(f"need a d x d shape with d >= 2, got {rho.dims}")

@@ -7,6 +7,7 @@ zero-based indices, and the product basis is ordered |i>|j> <-> i * dim_b + j.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -32,10 +33,10 @@ def _check_square(m: np.ndarray, dims: Dims) -> None:
         raise ValueError(f"matrix shape {m.shape} does not match dims {dims}")
 
 
-def is_hermitian(m: np.ndarray, tol: float = HERM_TOL) -> bool:
+def is_hermitian(m: np.ndarray) -> bool:
     m = _as_complex(m)
     scale = max(1.0, float(np.max(np.abs(m))) if m.size else 0.0)
-    return float(np.max(np.abs(m - m.conj().T))) <= tol * scale
+    return float(np.max(np.abs(m - m.conj().T))) <= HERM_TOL * scale
 
 
 def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -118,13 +119,13 @@ def singular_values(m: np.ndarray) -> np.ndarray:
     return np.linalg.svd(_as_complex(m), compute_uv=False)
 
 
-def psd_floor(vals: np.ndarray, rel_tol: float = PSD_REL_TOL) -> tuple[float, float]:
+def psd_floor(vals: np.ndarray) -> tuple[float, float]:
     """Smallest eigenvalue of an ascending spectrum and its PSD tolerance.
 
     The one PSD rule used project-wide: a Hermitian operator is accepted as
-    PSD when its smallest eigenvalue is >= -tol, tol = rel_tol * max|eigenvalue|.
+    PSD when its smallest eigenvalue is >= -tol, tol = PSD_REL_TOL * max|eigenvalue|.
     """
-    return float(vals[0]), rel_tol * float(np.max(np.abs(vals)))
+    return float(vals[0]), PSD_REL_TOL * float(np.max(np.abs(vals)))
 
 
 def psd_margin(m: np.ndarray) -> float:
@@ -132,9 +133,9 @@ def psd_margin(m: np.ndarray) -> float:
     return psd_floor(np.linalg.eigvalsh(_hermitian(m)))[0]
 
 
-def is_psd(m: np.ndarray, rel_tol: float = PSD_REL_TOL) -> bool:
-    """PSD acceptance under the relative tolerance -rel_tol * max|eigenvalue|."""
-    low, tol = psd_floor(np.linalg.eigvalsh(_hermitian(m)), rel_tol)
+def is_psd(m: np.ndarray) -> bool:
+    """PSD acceptance under the relative tolerance -PSD_REL_TOL * max|eigenvalue|."""
+    low, tol = psd_floor(np.linalg.eigvalsh(_hermitian(m)))
     return low >= -tol
 
 
@@ -197,6 +198,14 @@ class DensityMatrix:
 
     def marginal(self, keep: str) -> np.ndarray:
         return partial_trace(self.mat, self.dims, keep)
+
+    @cached_property
+    def marginal_spectra(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only ascending spectra of rho_A and rho_B, computed once per state."""
+        spectra = tuple(np.linalg.eigvalsh(self.marginal(keep)) for keep in "AB")
+        for vals in spectra:
+            vals.setflags(write=False)
+        return spectra
 
 
 def trace_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:

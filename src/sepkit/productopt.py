@@ -11,6 +11,11 @@ import numpy as np
 from .linalg import Dims, singular_values
 from .states import _haar_ket
 
+# alternating-optimization sweeps per start, and the change in the objective
+# that ends a start early
+SPAN_ITERS = 500
+SPAN_TOL = 1e-14
+
 
 def max_overlap_with_vector(psi: np.ndarray, dims: Dims) -> float:
     """Maximum of |<a ⊗ b|psi>|^2 over product unit vectors, computed exactly.
@@ -26,9 +31,7 @@ def min_overlap_with_span(
     vectors: list[np.ndarray],
     dims: Dims,
     starts: int = 64,
-    iters: int = 500,
     seed: int = 0,
-    tol: float = 1e-14,
 ) -> float:
     """Minimize sum_k |<psi_k|a ⊗ b>|^2 over product unit vectors.
 
@@ -46,7 +49,7 @@ def min_overlap_with_span(
     for _ in range(max(1, starts)):
         b = _haar_ket(rng, db)
         val = np.inf
-        for _ in range(iters):
+        for _ in range(SPAN_ITERS):
             a_mat = np.einsum("ikjl,k,l->ij", t, b.conj(), b)
             vals, vecs = np.linalg.eigh(a_mat)
             a = vecs[:, 0]
@@ -54,7 +57,7 @@ def min_overlap_with_span(
             vals, vecs = np.linalg.eigh(b_mat)
             b = vecs[:, 0]
             new = float(vals[0].real)
-            if abs(val - new) <= tol:
+            if abs(val - new) <= SPAN_TOL:
                 val = new
                 break
             val = new

@@ -20,7 +20,14 @@ from .linalg import (  # noqa: F401
     tensor,
 )
 
-DEFAULT_DIM_CAP = 4096
+# largest total dimension any construction here or in symext/closure builds
+DIM_CAP = 4096
+
+
+def check_total_dim(total: int) -> None:
+    """Reject a construction whose total dimension exceeds DIM_CAP."""
+    if total > DIM_CAP:
+        raise ValueError(f"total dimension {total} exceeds cap {DIM_CAP}")
 
 
 def _check_weights(weights: list[float]) -> None:
@@ -214,14 +221,12 @@ def random_separable(dims: Dims, k: int, seed) -> tuple[DensityMatrix, ProductEn
     return ens.state(), ens
 
 
-def tensor_power_bipartite(rho: DensityMatrix, n: int, cap: int = DEFAULT_DIM_CAP) -> DensityMatrix:
+def tensor_power_bipartite(rho: DensityMatrix, n: int) -> DensityMatrix:
     """n-fold tensor power of a bipartite state, regrouped to the A^n : B^n cut."""
     if n < 1:
         raise ValueError("tensor power needs n >= 1")
     da, db = rho.dims
-    total = (da * db) ** n
-    if total > cap:
-        raise ValueError(f"total dimension {total} exceeds cap {cap}")
+    check_total_dim((da * db) ** n)
     if n == 1:
         return rho
     m = rho.mat

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import DensityMatrix, partial_trace, tensor
-from .states import DEFAULT_DIM_CAP, ProductEnsemble
+from .states import ProductEnsemble, check_total_dim
 
 DEFAULT_TOL = 1e-7
 DEFAULT_MAX_ITERS = 5000
@@ -49,13 +49,11 @@ class ExtensionProblem:
 
     base: DensityMatrix
     copies: int
-    cap: int = DEFAULT_DIM_CAP
 
     def __post_init__(self) -> None:
         if self.copies < 2:
             raise ValueError("symmetric extension needs k >= 2 copies")
-        if self.total_dim > self.cap:
-            raise ValueError(f"total dimension {self.total_dim} exceeds cap {self.cap}")
+        check_total_dim(self.total_dim)
 
     @property
     def dim_a(self) -> int:
@@ -115,14 +113,13 @@ def symmetrize_b(x: np.ndarray, problem: ExtensionProblem) -> np.ndarray:
     return acc
 
 
-def extend_separable(ens: ProductEnsemble, k: int, cap: int = DEFAULT_DIM_CAP) -> np.ndarray:
+def extend_separable(ens: ProductEnsemble, k: int) -> np.ndarray:
     """Explicit extension sum_i p_i sigma_i ⊗ tau_i^{⊗k} of a known-separable state."""
     if k < 2:
         raise ValueError("symmetric extension needs k >= 2 copies")
     da, db = ens.dims
     total = da * db**k
-    if total > cap:
-        raise ValueError(f"total dimension {total} exceeds cap {cap}")
+    check_total_dim(total)
     acc = np.zeros((total, total), dtype=complex)
     for w, ra, rb in ens.members:
         term = ra
@@ -199,11 +196,9 @@ def support_face(problem: ExtensionProblem) -> np.ndarray | None:
     return _null_space(symmetrize_b(lift, problem))
 
 
-def verify_extension(
-    x: np.ndarray, rho: DensityMatrix, k: int, cap: int = DEFAULT_DIM_CAP
-) -> dict[str, float]:
+def verify_extension(x: np.ndarray, rho: DensityMatrix, k: int) -> dict[str, float]:
     """Residuals of the three extension constraint families for a candidate X."""
-    problem = ExtensionProblem(rho, k, cap)
+    problem = ExtensionProblem(rho, k)
     sym_res = float(np.linalg.norm(symmetrize_b(x, problem) - x))
     tr_res = float(np.linalg.norm(_trace_out_extra_copies(x, problem) - rho.mat))
     vals = np.linalg.eigvalsh(0.5 * (x + x.conj().T))
@@ -219,7 +214,6 @@ def has_symmetric_extension(
     k: int,
     max_iters: int = DEFAULT_MAX_ITERS,
     tol: float = DEFAULT_TOL,
-    cap: int = DEFAULT_DIM_CAP,
     start: np.ndarray | None = None,
 ) -> FeasibilityResult:
     """Search for a k-copy symmetric extension of rho by alternating projections.
@@ -234,7 +228,7 @@ def has_symmetric_extension(
     infeasible-evidence when the inter-set gap stabilizes above tol over a
     50-iteration window; otherwise inconclusive at max_iters.
     """
-    problem = ExtensionProblem(rho, k, cap)
+    problem = ExtensionProblem(rho, k)
     face = support_face(problem)
     if face is not None and face.shape[1] == 0:
         n = problem.total_dim

@@ -35,6 +35,8 @@ DUALITY_TOL = 1e-8
 # trials reconstructed and measured together; bounds the batched arrays at
 # TRIAL_BLOCK * d^2 complex entries whatever the trial count
 TRIAL_BLOCK = 256
+# derived seeds build_ic_povm tries before it gives up
+POVM_RETRIES = 16
 
 _STREAM_POVM_A = 10
 _STREAM_POVM_B = 11
@@ -104,7 +106,7 @@ class OutcomeCounts:
         object.__setattr__(self, "total", int(self.total))
 
 
-def build_ic_povm(d: int, seed, retries: int = 16) -> Povm:
+def build_ic_povm(d: int, seed) -> Povm:
     """Seeded IC-POVM from d^2 random rank-1 projectors P_n via S^{-1/2} P_n S^{-1/2}.
 
     Retries with the next derived seed if the Gram matrix of the elements is
@@ -113,7 +115,7 @@ def build_ic_povm(d: int, seed, retries: int = 16) -> Povm:
     """
     if d < 2:
         raise ValueError("need dimension >= 2")
-    for attempt in range(retries):
+    for attempt in range(POVM_RETRIES):
         rng = _derived_rng(seed, attempt)
         projs = []
         for _ in range(d * d):
@@ -142,7 +144,7 @@ def build_ic_povm(d: int, seed, retries: int = 16) -> Povm:
             return Povm(elements, duals, d)
         except ValueError:
             continue
-    raise RuntimeError(f"no full-rank IC-POVM after {retries} seeds; RNG fault?")
+    raise RuntimeError(f"no full-rank IC-POVM after {POVM_RETRIES} seeds; RNG fault?")
 
 
 def product_povm(pa: Povm, pb: Povm) -> Povm:

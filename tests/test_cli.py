@@ -92,9 +92,9 @@ class TestTilesFlag:
 
 
 class TestSymextCommand:
-    def test_dim_cap_env_var(self, capsys, monkeypatch):
-        monkeypatch.setenv("SEPKIT_DIM_CAP", "7")
-        code, _, err = run_cli(capsys, "symext", "--state", "maxent:2", "--k", "2", "--json")
+    def test_dim_cap(self, capsys):
+        # 2 * 2**12 = 8192 exceeds the fixed cap of 4096
+        code, _, err = run_cli(capsys, "symext", "--state", "maxent:2", "--k", "12", "--json")
         assert code == 1
         assert "cap" in err
 
@@ -235,6 +235,10 @@ class TestReportContract:
              "--n", "5", "--eps", "nan", "--trials", "4"],
             ["geometry", "farness", "--state", "maxent:2", "--ansatz", "isotropic:2:0",
              "--n-list", "2", "--eps", "inf", "--trials", "4"],
+            ["symext", "--state", "sep:2:2:1:4", "--k", "2", "--tol", "0"],
+            ["symext", "--state", "sep:2:2:1:4", "--k", "2", "--tol", "-1"],
+            ["geometry", "boundary", "--state", "sep:2:2:4:8", "--tol", "0"],
+            ["geometry", "boundary", "--state", "sep:2:2:4:8", "--tol", "-1"],
         ],
     )
     def test_non_finite_or_nonpositive_options_exit_one(self, capsys, argv):
@@ -250,6 +254,49 @@ class TestReportContract:
         assert code == 1
         assert out == ""
         assert "error" in err
+
+    def test_unopenable_out_path_exit_one(self, capsys, tmp_path):
+        out_path = tmp_path / "missing" / "x.json"
+        code, out, err = run_cli(
+            capsys, "geometry", "definetti", "--dim", "4", "--n", "1", "--k", "9",
+            "--out", str(out_path),
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["geometry", "definetti", "--dim", "4", "--n", "1", "--k", "9", "--tol", "5"],
+            ["state", "show", "--state", "tiles", "--seed", "3"],
+            ["symext", "--state", "sep:2:2:1:4", "--k", "2", "--seed", "3"],
+            ["--json", "state", "show", "--state", "tiles"],
+        ],
+    )
+    def test_flags_only_on_commands_that_read_them(self, capsys, argv):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+
+    def test_config_holds_resolved_tolerance(self, capsys):
+        _, out, _ = run_cli(capsys, "symext", "--state", "sep:2:2:1:4", "--k", "2", "--json")
+        report = parse_report(out)
+        assert report["config"]["tol"] == 1e-7
+        assert report["results"]["residual"]["tol"] == 1e-7
+        assert "seed" not in report["config"]
+        _, out, _ = run_cli(capsys, "geometry", "boundary", "--state", "sep:2:2:4:8", "--json")
+        report = parse_report(out)
+        assert report["config"]["tol"] == 1e-6
+        assert report["results"]["t_star"]["tol"] == 1e-6
+        assert "seed" not in report["config"]
+
+    def test_summary_names_seed_only_when_read(self, capsys):
+        _, _, err = run_cli(capsys, "geometry", "definetti", "--dim", "4", "--n", "1", "--k", "9")
+        assert err.splitlines()[0] == "sepkit geometry definetti"
+        _, _, err = run_cli(capsys, "closure", "--criterion", "ppt", "--trials", "2", "--seed", "7")
+        assert err.splitlines()[0] == "sepkit closure (seed 7)"
 
     def test_missing_file_exit_one(self, capsys):
         code, _, _ = run_cli(capsys, "state", "show", "--state", "file:/nonexistent.json")

@@ -63,7 +63,7 @@ class TestBipartiteProduct:
 
     def test_cap(self):
         with pytest.raises(ValueError):
-            bipartite_product(maximally_mixed((8, 8)), maximally_mixed((8, 8)), cap=512)
+            bipartite_product(maximally_mixed((8, 8)), maximally_mixed((9, 8)))  # 4608 > DIM_CAP
 
 
 class TestRealignFactorization:
@@ -134,7 +134,7 @@ class TestClosureCheck:
 class TestSweeps:
     @pytest.mark.parametrize("criterion", ONE_SHOT_TESTS)
     def test_small_sweep_no_violations(self, criterion):
-        rep = closure_sweep(criterion, 20, (40, hash(criterion) % 1000))
+        rep = closure_sweep(criterion, 20, (40, list(ONE_SHOT_TESTS).index(criterion)))
         assert rep.violations == 0
         assert rep.sub_assertion_failures == 0
         assert rep.min_margin >= -1e-8

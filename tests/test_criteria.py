@@ -1,5 +1,6 @@
 """One-shot criteria: frozen margins, soundness, and stability properties."""
 
+import numpy as np
 import pytest
 
 from sepkit.criteria import (
@@ -44,8 +45,9 @@ class TestMaxEntangledMargins:
         assert abs(v.margin - (-1.0)) < 1e-9
 
     def test_entropic_other_alpha_rejected(self):
-        with pytest.raises(ValueError):
-            entropic_test(self.phi, 3)
+        for alpha in (3, 1, "von-neumann"):
+            with pytest.raises(ValueError):
+                entropic_test(self.phi, alpha)
     def test_majorization(self):
         v = majorization_test(self.phi)
         assert not v.passed
@@ -155,3 +157,20 @@ class TestRunAll:
         from sepkit.symext import extend_separable
         verdicts = run_all(state, start=extend_separable(ens, 2))
         assert all(v.passed for v in verdicts)
+
+    def test_marginal_spectra_computed_once(self, monkeypatch):
+        # on a 2 x 3 state only the marginal spectra are smaller than 6 x 6
+        marginal_calls = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counting(m):
+            if m.shape[-1] < 6:
+                marginal_calls.append(m.shape[-1])
+            return eigvalsh(m)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        rho = random_density(6, 31, (2, 3), cols=1)  # pure: the extension search stops at once
+        run_all(rho)
+        assert sorted(marginal_calls) == [2, 3]
+        for vals in rho.marginal_spectra:
+            assert not vals.flags.writeable

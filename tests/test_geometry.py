@@ -180,6 +180,11 @@ class TestBoundaryBisect:
         with pytest.raises(ValueError):
             ppt_boundary_bisect(max_entangled(2))
 
+    @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan")])
+    def test_rejects_tolerance_that_cannot_end(self, tol):
+        with pytest.raises(ValueError):
+            ppt_boundary_bisect(maximally_mixed((2, 2)), tol=tol)
+
 
 class TestFarness:
     def test_self_ansatz_gives_noise_level_bound(self):

@@ -227,7 +227,7 @@ class TestFeasibility:
         with pytest.raises(ValueError):
             has_symmetric_extension(maximally_mixed((2, 2)), 1)
         with pytest.raises(ValueError):
-            has_symmetric_extension(maximally_mixed((2, 2)), 2, cap=7)
+            has_symmetric_extension(maximally_mixed((2, 2)), 12)  # 2 * 2**12 > DIM_CAP
 
 
 class TestTilesTwoExtension:
