@@ -279,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--source", required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--eps", type=_finite_float, required=True)
-    p.add_argument("--trials", type=int, default=400)
+    p.add_argument("--trials", type=_positive_int, default=400)
     p.set_defaults(handler=_cmd_tomo_accept)
 
     geo = sub.add_parser("geometry", help="SEP vs PPT geometry").add_subparsers(
@@ -303,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ansatz", action="append", required=True)
     p.add_argument("--n-list", required=True)
     p.add_argument("--eps", type=_finite_float, required=True)
-    p.add_argument("--trials", type=int, default=200)
+    p.add_argument("--trials", type=_positive_int, default=200)
     p.set_defaults(handler=_cmd_geometry_farness)
 
     p = sub.add_parser("closure", help="tensor-product closure sweep", parents=[seeded])
@@ -312,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         choices=[*ONE_SHOT_TESTS, "entropic", "symext"],
     )
-    p.add_argument("--trials", type=int, default=200)
+    p.add_argument("--trials", type=_positive_int, default=200)
     p.set_defaults(handler=_cmd_closure)
 
     state = sub.add_parser("state", help="build or inspect states").add_subparsers(

@@ -190,6 +190,8 @@ def closure_sweep(criterion: str, trials: int, seed) -> SweepReport:
     For criterion='symext' the check is the constructive witness composition
     on separable pairs.
     """
+    if trials < 1:
+        raise ValueError("need at least one trial")
     rng = np.random.default_rng(seed)
     margins = []
     violations = 0

@@ -28,6 +28,8 @@ OVERLAP_SLACK = 1e-6
 
 def definetti_bound(dim: int, n: int, k: int) -> float:
     """Trace-distance bound 2 * dim * n / (n + k) for a k-extendible n-copy marginal."""
+    if dim < 1:
+        raise ValueError("need dim >= 1")
     if n < 1:
         raise ValueError("need n >= 1")
     if k < 0:
@@ -167,8 +169,6 @@ class FarnessResult:
     """
 
     points: tuple[FarnessPoint, ...]
-    eps: float
-    trials: int
     member_distances: tuple[float, ...]
     far_members: tuple[int, ...]
     label: str = "vs given ansatz"
@@ -190,6 +190,8 @@ def farness_certificate(
     Members at trace distance >= eps from rho are flagged; only those drive
     the bound toward its large-n limit.
     """
+    if trials < 1:
+        raise ValueError("need at least one trial")
     if ens.dims != rho.dims:
         raise ValueError(f"ansatz shape {ens.dims} does not match state shape {rho.dims}")
     dists = tuple(trace_distance(member, rho) for _, member in ens.members)
@@ -200,4 +202,4 @@ def farness_certificate(
         acc_t = acceptance_probability(rho, rho, n, eps, trials, seed, povm)
         acc_a = mixture_acceptance(ens, rho, n, eps, trials, seed, povm)
         points.append(FarnessPoint(n, acc_t - acc_a, acc_t, acc_a, stderr))
-    return FarnessResult(tuple(points), eps, trials, dists, far)
+    return FarnessResult(tuple(points), dists, far)

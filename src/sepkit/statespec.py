@@ -34,7 +34,6 @@ class ParsedState:
     state: DensityMatrix
     ensemble: ProductEnsemble | None
     kind: str
-    spec: str
 
 
 class StateSpecError(ValueError):
@@ -55,7 +54,7 @@ def parse_state_spec(spec: str) -> ParsedState:
         if len(parts) != 1:
             raise StateSpecError(f"usage maxent:d, got {spec!r}")
         (d,) = _ints(parts, spec)
-        return ParsedState(max_entangled(d), None, "maxent", spec)
+        return ParsedState(max_entangled(d), None, "maxent")
     if head == "isotropic":
         if len(parts) != 2:
             raise StateSpecError(f"usage isotropic:d:t, got {spec!r}")
@@ -64,24 +63,24 @@ def parse_state_spec(spec: str) -> ParsedState:
             t = float(parts[1])
         except ValueError as exc:
             raise StateSpecError(f"malformed state spec {spec!r}: {exc}") from exc
-        return ParsedState(segment_state(maximally_mixed((d, d)), t), None, "isotropic", spec)
+        return ParsedState(segment_state(maximally_mixed((d, d)), t), None, "isotropic")
     if head == "tiles":
         if parts:
             raise StateSpecError(f"tiles takes no arguments, got {spec!r}")
-        return ParsedState(tiles_upb_state(), None, "tiles", spec)
+        return ParsedState(tiles_upb_state(), None, "tiles")
     if head == "random":
         if len(parts) != 3:
             raise StateSpecError(f"usage random:dA:dB:seed, got {spec!r}")
         da, db, seed = _ints(parts, spec)
-        return ParsedState(random_density(da * db, seed, (da, db)), None, "random", spec)
+        return ParsedState(random_density(da * db, seed, (da, db)), None, "random")
     if head == "sep":
         if len(parts) != 4:
             raise StateSpecError(f"usage sep:dA:dB:k:seed, got {spec!r}")
         da, db, k, seed = _ints(parts, spec)
         state, ens = random_separable((da, db), k, seed)
-        return ParsedState(state, ens, "sep", spec)
+        return ParsedState(state, ens, "sep")
     if head == "file":
         if not rest:
             raise StateSpecError(f"usage file:PATH, got {spec!r}")
-        return ParsedState(load_density(rest), None, "file", spec)
+        return ParsedState(load_density(rest), None, "file")
     raise StateSpecError(f"unknown state spec {spec!r}")

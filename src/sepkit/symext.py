@@ -25,7 +25,8 @@ inconclusive.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import deque
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -67,21 +68,6 @@ class ExtensionProblem:
     def total_dim(self) -> int:
         return self.dim_a * self.dim_b**self.copies
 
-    def _swap_indices(self, j: int, m: int) -> np.ndarray:
-        # flat index array transposing B_j and B_m (1-based copy labels)
-        cached = getattr(self, "_swap_cache", None)
-        if cached is None:
-            cached = {}
-            object.__setattr__(self, "_swap_cache", cached)
-        if (j, m) not in cached:
-            k = self.copies
-            shape = [self.dim_a] + [self.dim_b] * k
-            axes = list(range(k + 1))
-            axes[j], axes[m] = axes[m], axes[j]
-            base = np.arange(self.total_dim).reshape(shape)
-            cached[(j, m)] = np.ascontiguousarray(base.transpose(axes)).reshape(-1)
-        return cached[(j, m)]
-
 
 @dataclass(frozen=True)
 class FeasibilityResult:
@@ -90,7 +76,6 @@ class FeasibilityResult:
     iterations: int
     witness_extension: np.ndarray | None = None
     tol: float = DEFAULT_TOL
-    history: list[float] = field(default_factory=list, repr=False)
 
 
 def symmetrize_b(x: np.ndarray, problem: ExtensionProblem) -> np.ndarray:
@@ -103,12 +88,17 @@ def symmetrize_b(x: np.ndarray, problem: ExtensionProblem) -> np.ndarray:
     n = problem.total_dim
     if x.shape != (n, n):
         raise ValueError(f"operator shape {x.shape} does not match problem dim {n}")
+    k = problem.copies
+    # row factors A, B_1..B_k on axes 0..k, column factors on axes k+1..2k+1
+    shape = [problem.dim_a] + [problem.dim_b] * k
     acc = x
-    for m in range(2, problem.copies + 1):
+    for m in range(2, k + 1):
+        t = acc.reshape(shape + shape)
         terms = acc.copy()
         for j in range(1, m):
-            p = problem._swap_indices(j, m)
-            terms += acc[np.ix_(p, p)]
+            axes = list(range(2 * k + 2))
+            axes[j], axes[m], axes[k + 1 + j], axes[k + 1 + m] = m, j, k + 1 + m, k + 1 + j
+            terms += t.transpose(axes).reshape(n, n)
         acc = terms / m
     return acc
 
@@ -226,14 +216,20 @@ def has_symmetric_extension(
     families within tol (the affine-exact iterate PSD to within tol, or the
     PSD-exact iterate matching the marginal to within tol); returns
     infeasible-evidence when the inter-set gap stabilizes above tol over a
-    50-iteration window; otherwise inconclusive at max_iters.
+    50-iteration window; otherwise inconclusive at max_iters. Raises
+    ValueError unless tol is finite and > 0, max_iters >= 1 and start is finite.
     """
+    # written to fail on a NaN tol
+    if not (0.0 < tol < np.inf and max_iters >= 1):
+        raise ValueError(f"need a finite tol > 0 and max_iters >= 1, got {tol} and {max_iters}")
+    if start is not None and not np.all(np.isfinite(start)):
+        raise ValueError("start holds NaN or Inf")
     problem = ExtensionProblem(rho, k)
     face = support_face(problem)
     if face is not None and face.shape[1] == 0:
         n = problem.total_dim
         residual = float(np.linalg.norm(project_affine(np.zeros((n, n)), problem)))
-        return FeasibilityResult("infeasible-evidence", residual, 0, None, tol, [])
+        return FeasibilityResult("infeasible-evidence", residual, 0, None, tol)
     if start is None:
         rho_b = rho.marginal("B")
         x = rho.mat
@@ -244,28 +240,26 @@ def has_symmetric_extension(
         x = np.asarray(start, dtype=complex)
         x = 0.5 * (x + x.conj().T)
     correction = np.zeros_like(x)
-    history: list[float] = []
-    gap = np.inf
+    window: deque[float] = deque(maxlen=PLATEAU_WINDOW)
     for it in range(1, max_iters + 1):
         y = project_affine(x, problem)
         z = y + correction
         x = project_psd(z) if face is None else project_face(z, face)
         correction = z - x
         gap = float(np.linalg.norm(x - y))
-        history.append(gap)
+        window.append(gap)
         # y satisfies the affine constraints exactly; feasible once it is PSD
         # within tol. x is PSD and symmetric exactly (the face is invariant
         # under permutations of the B factors); feasible once its marginal
         # matches within tol.
         y_min = float(np.linalg.eigvalsh(y)[0])
         if y_min >= -tol:
-            return FeasibilityResult("feasible", max(0.0, -y_min), it, y, tol, history)
+            return FeasibilityResult("feasible", max(0.0, -y_min), it, y, tol)
         marg = float(np.linalg.norm(_trace_out_extra_copies(x, problem) - rho.mat))
         if marg <= tol:
-            return FeasibilityResult("feasible", marg, it, x, tol, history)
+            return FeasibilityResult("feasible", marg, it, x, tol)
         if it >= PLATEAU_WINDOW:
-            window = history[-PLATEAU_WINDOW:]
             lo, hi = min(window), max(window)
             if lo > tol and (hi - lo) <= PLATEAU_REL * hi:
-                return FeasibilityResult("infeasible-evidence", gap, it, None, tol, history)
-    return FeasibilityResult("inconclusive", gap, max_iters, None, tol, history)
+                return FeasibilityResult("infeasible-evidence", gap, it, None, tol)
+    return FeasibilityResult("inconclusive", gap, max_iters, None, tol)

@@ -239,6 +239,14 @@ class TestReportContract:
             ["symext", "--state", "sep:2:2:1:4", "--k", "2", "--tol", "-1"],
             ["geometry", "boundary", "--state", "sep:2:2:4:8", "--tol", "0"],
             ["geometry", "boundary", "--state", "sep:2:2:4:8", "--tol", "-1"],
+            ["closure", "--criterion", "ppt", "--trials", "0"],
+            ["closure", "--criterion", "symext", "--trials", "-2"],
+            ["tomo", "accept", "--target", "maxent:2", "--source", "maxent:2",
+             "--n", "5", "--eps", "0.5", "--trials", "0"],
+            ["geometry", "farness", "--state", "maxent:2", "--ansatz", "maxent:2",
+             "--n-list", "4", "--eps", "0.5", "--trials", "0"],
+            ["geometry", "definetti", "--dim", "-3", "--n", "1", "--k", "9"],
+            ["geometry", "definetti", "--dim", "0", "--n", "1", "--k", "9"],
         ],
     )
     def test_non_finite_or_nonpositive_options_exit_one(self, capsys, argv):

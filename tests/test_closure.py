@@ -144,6 +144,11 @@ class TestSweeps:
         assert rep.violations == 0
         assert rep.min_margin >= -1e-8
 
+    @pytest.mark.parametrize("criterion, trials", [("ppt", 0), ("symext", -2)])
+    def test_rejects_no_trials(self, criterion, trials):
+        with pytest.raises(ValueError, match="need at least one trial"):
+            closure_sweep(criterion, trials, 0)
+
 
 class TestSymextClosure:
     def test_explicit_composition(self):

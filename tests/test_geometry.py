@@ -47,6 +47,11 @@ class TestDefinetti:
         with pytest.raises(ValueError):
             definetti_bound(4, 1, -1)
 
+    @pytest.mark.parametrize("dim", [0, -3])
+    def test_rejects_dimension_below_one(self, dim):
+        with pytest.raises(ValueError):
+            definetti_bound(dim, 1, 9)
+
 
 class TestSepMaxOverlap:
     @pytest.mark.parametrize("d", range(2, 33))
@@ -210,6 +215,13 @@ class TestFarness:
         ens = Ensemble(((1.0, maximally_mixed((1, 4))),))
         with pytest.raises(ValueError):
             farness_certificate(phi, ens, [5], 0.5, 10, 0)
+
+    @pytest.mark.parametrize("trials", [0, -2])
+    def test_rejects_no_trials(self, trials):
+        phi = max_entangled(2)
+        ens = Ensemble(((1.0, phi),))
+        with pytest.raises(ValueError, match="need at least one trial"):
+            farness_certificate(phi, ens, [4], 0.5, trials, 0)
 
     def test_tiles_vs_closest_found_separable_ansatz(self):
         # seed 37 picked for dual-frame conditioning at 3x3 (sum of dual norms)

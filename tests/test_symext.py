@@ -13,6 +13,7 @@ from sepkit.states import (
     maximally_mixed,
     random_density,
     random_separable,
+    segment_state,
     tiles_upb_state,
 )
 from sepkit.symext import (
@@ -71,6 +72,24 @@ class TestSymmetrize:
         x = rand_op(rng, problem.total_dim)
         once = symmetrize_b(x, problem)
         assert np.allclose(symmetrize_b(once, problem), once, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "dims, k",
+        [((2, 3), 2), ((2, 3), 3), ((2, 3), 4), ((3, 2), 2), ((3, 2), 3), ((2, 2), 4), ((2, 2), 5)],
+    )
+    def test_equals_group_average(self, dims, k):
+        # dA != dB tells the A axis from the B axes
+        rng = np.random.default_rng(6)
+        problem = ExtensionProblem(maximally_mixed(dims), k)
+        x = rand_op(rng, problem.total_dim)
+        perms = perm_indices(problem)
+        average = sum(x[np.ix_(p, p)] for p in perms) / len(perms)
+        assert np.max(np.abs(symmetrize_b(x, problem) - average)) < 1e-12
+
+    def test_problem_holds_no_cache(self):
+        problem = ExtensionProblem(maximally_mixed((2, 2)), 3)
+        symmetrize_b(np.eye(problem.total_dim), problem)
+        assert set(vars(problem)) == {"base", "copies"}
 
     def test_permutation_invariance_of_output(self):
         rng = np.random.default_rng(5)
@@ -204,6 +223,12 @@ class TestFeasibility:
         assert res.witness_extension is None
         assert res.residual > 0.1  # the gap is macroscopic for Phi(2)
 
+    def test_isotropic_plateau_window(self):
+        res = has_symmetric_extension(segment_state(maximally_mixed((2, 2)), 0.8), 2)
+        assert res.status == "infeasible-evidence"
+        assert res.iterations == 58
+        assert res.residual == pytest.approx(0.0603, abs=1e-4)
+
     def test_maximally_mixed_three_copies(self):
         res = has_symmetric_extension(maximally_mixed((2, 2)), 3)
         assert res.status == "feasible"
@@ -228,6 +253,31 @@ class TestFeasibility:
             has_symmetric_extension(maximally_mixed((2, 2)), 1)
         with pytest.raises(ValueError):
             has_symmetric_extension(maximally_mixed((2, 2)), 12)  # 2 * 2**12 > DIM_CAP
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"tol": -1.0},
+            {"tol": 0.0},
+            {"tol": float("nan")},
+            {"tol": float("inf")},
+            {"max_iters": 0},
+        ],
+    )
+    def test_rejects_bad_settings(self, kwargs):
+        # sep:2:2:3:1 has an exact 2-extension; bad settings must not reach the loop
+        state, _ = random_separable((2, 2), 3, 1)
+        with pytest.raises(ValueError, match="need a finite tol > 0 and max_iters >= 1"):
+            has_symmetric_extension(state, 2, **kwargs)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_start(self, bad):
+        state, ens = random_separable((2, 2), 3, 1)
+        start = extend_separable(ens, 2)
+        start[0, 0] = bad
+        # not a LinAlgError (a ValueError too) from inside the loop
+        with pytest.raises(ValueError, match="start holds NaN or Inf"):
+            has_symmetric_extension(state, 2, start=start)
 
 
 class TestTilesTwoExtension:
