@@ -52,8 +52,10 @@ def _verdict_obj(v) -> dict:
 def _cmd_criteria(args) -> tuple[dict, bool]:
     parsed = parse_state_spec(args.state)
     names = [*ONE_SHOT_TESTS, "symext"]
-    if args.only:
+    if args.only is not None:
         names = [n.strip() for n in args.only.split(",") if n.strip()]
+        if not names:
+            raise StateSpecError(f"--only {args.only!r} selects no criterion")
         bad = [n for n in names if n != "symext" and n not in ONE_SHOT_TESTS]
         if bad:
             raise StateSpecError(f"unknown criteria {bad}; known: {sorted(ONE_SHOT_TESTS)} + symext")
@@ -228,17 +230,11 @@ def _cmd_state_show(args) -> tuple[dict, bool]:
     return results, False
 
 
-def _finite_float(text: str) -> float:
-    value = float(text)
-    if not np.isfinite(value):
-        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
-    return value
-
-
 def _positive_float(text: str) -> float:
-    value = _finite_float(text)
-    if not value > 0:
-        raise argparse.ArgumentTypeError(f"expected a number > 0, got {text!r}")
+    value = float(text)
+    # written to fail on NaN and Inf
+    if not 0.0 < value < np.inf:
+        raise argparse.ArgumentTypeError(f"expected a finite number > 0, got {text!r}")
     return value
 
 
@@ -278,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", required=True)
     p.add_argument("--source", required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--eps", type=_finite_float, required=True)
+    p.add_argument("--eps", type=_positive_float, required=True)
     p.add_argument("--trials", type=_positive_int, default=400)
     p.set_defaults(handler=_cmd_tomo_accept)
 
@@ -302,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--state", required=True)
     p.add_argument("--ansatz", action="append", required=True)
     p.add_argument("--n-list", required=True)
-    p.add_argument("--eps", type=_finite_float, required=True)
+    p.add_argument("--eps", type=_positive_float, required=True)
     p.add_argument("--trials", type=_positive_int, default=200)
     p.set_defaults(handler=_cmd_geometry_farness)
 

@@ -22,6 +22,7 @@ from .linalg import (
     partial_trace,
     partial_transpose,
     permute_systems,
+    psd_margin,
     realign,
     tensor,
 )
@@ -83,10 +84,7 @@ def _closure_sub_assertions(
         y = rho.mat
         z = tensor(partial_trace(sigma.mat, sigma.dims, "A"), np.eye(sigma.dim_b))
         w = sigma.mat
-        term1 = tensor(x - y, z + w)
-        term2 = tensor(x + y, z - w)
-        m1 = float(np.linalg.eigvalsh(0.5 * (term1 + term1.conj().T))[0])
-        m2 = float(np.linalg.eigvalsh(0.5 * (term2 + term2.conj().T))[0])
+        m1, m2 = psd_margin(tensor(x - y, z + w)), psd_margin(tensor(x + y, z - w))
         out["decomposition_margins"] = (m1, m2)
         out["ok"] = min(m1, m2) >= -SUB_ASSERT_TOL
     elif criterion in ENTROPIES:
@@ -196,8 +194,8 @@ def closure_sweep(criterion: str, trials: int, seed) -> SweepReport:
     margins = []
     violations = 0
     sub_failures = 0
-    if criterion == "symext":
-        for _ in range(trials):
+    for _ in range(trials):
+        if criterion == "symext":
             _, ens_rho = random_separable(
                 SWEEP_DIMS, int(rng.integers(1, 5)), int(rng.integers(2**31))
             )
@@ -205,21 +203,16 @@ def closure_sweep(criterion: str, trials: int, seed) -> SweepReport:
                 SWEEP_DIMS, int(rng.integers(1, 5)), int(rng.integers(2**31))
             )
             res = symext_closure_check(ens_rho, ens_sigma, SWEEP_SYMEXT_K)
-            margins.append(float(res["psd_margin"]))
-            if not res["ok"]:
-                violations += 1
-        return SweepReport(
-            "symext", trials, violations, 0, float(np.min(margins)), tuple(margins)
-        )
-    for _ in range(trials):
-        rho = _sample_passing_state(criterion, SWEEP_DIMS, rng)
-        sigma = _sample_passing_state(criterion, SWEEP_DIMS, rng)
-        verdict = closure_check(criterion, rho, sigma)
-        margins.append(verdict.margin)
-        if verdict.margin < -VIOLATION_TOL:
-            violations += 1
-        if not verdict.details["sub_assertions"]["ok"]:
-            sub_failures += 1
+            margin, violated, sub_ok = float(res["psd_margin"]), not res["ok"], True
+        else:
+            rho = _sample_passing_state(criterion, SWEEP_DIMS, rng)
+            sigma = _sample_passing_state(criterion, SWEEP_DIMS, rng)
+            verdict = closure_check(criterion, rho, sigma)
+            margin, sub_ok = verdict.margin, verdict.details["sub_assertions"]["ok"]
+            violated = margin < -VIOLATION_TOL
+        margins.append(margin)
+        violations += int(violated)
+        sub_failures += int(not sub_ok)
     return SweepReport(
         criterion, trials, violations, sub_failures, float(np.min(margins)), tuple(margins)
     )

@@ -15,10 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .criteria import ppt_test
-from .linalg import DensityMatrix, partial_transpose, trace_distance
+from .linalg import DensityMatrix, is_hermitian, partial_transpose, trace_distance
 from .productopt import max_overlap_with_vector
 from .states import Ensemble, max_entangled, max_entangled_vector, segment_state
-from .tomography import Povm, acceptance_probability, mixture_acceptance
+from .tomography import Povm, acceptance_probability, default_product_povm, mixture_acceptance
 
 BISECT_TOL = 1e-6
 WITNESS_TOL = 1e-9
@@ -60,9 +60,9 @@ def witness_lower_bound(rho: DensityMatrix, witness: np.ndarray, sep_max: float)
     separable sigma (the caller vouches for sep_max's provenance).
     """
     w = np.asarray(witness, dtype=complex)
-    vals = np.linalg.eigvalsh(0.5 * (w + w.conj().T))
-    if float(np.max(np.abs(w - w.conj().T))) > 1e-10:
+    if not is_hermitian(w):
         raise ValueError("witness is not Hermitian")
+    vals = np.linalg.eigvalsh(0.5 * (w + w.conj().T))
     if float(vals[0]) < -WITNESS_TOL or float(vals[-1]) > 1.0 + WITNESS_TOL:
         raise ValueError("witness is not between 0 and identity")
     value = float(np.trace(w @ rho.mat).real) - sep_max
@@ -192,12 +192,16 @@ def farness_certificate(
     """
     if trials < 1:
         raise ValueError("need at least one trial")
+    if not n_list:
+        raise ValueError("need at least one n")
     if ens.dims != rho.dims:
         raise ValueError(f"ansatz shape {ens.dims} does not match state shape {rho.dims}")
     dists = tuple(trace_distance(member, rho) for _, member in ens.members)
     far = tuple(i for i, dist in enumerate(dists) if dist >= eps - 1e-12)
     points = []
     stderr = float(np.sqrt(2.0) / (2.0 * np.sqrt(trials)))
+    if povm is None:
+        povm = default_product_povm(rho.dims, seed)
     for n in n_list:
         acc_t = acceptance_probability(rho, rho, n, eps, trials, seed, povm)
         acc_a = mixture_acceptance(ens, rho, n, eps, trials, seed, povm)

@@ -30,8 +30,8 @@ def matrix_to_obj(m: np.ndarray, kind: str = "matrix", dims=None) -> dict[str, A
     obj: dict[str, Any] = {"kind": kind}
     if dims is not None:
         obj["dims"] = [int(dims[0]), int(dims[1])]
-    obj["re"] = [[float(x) for x in row] for row in m.real]
-    obj["im"] = [[float(x) for x in row] for row in m.imag]
+    obj["re"] = m.real.tolist()
+    obj["im"] = m.imag.tolist()
     return obj
 
 
@@ -43,11 +43,18 @@ def _decode(
     obj: dict[str, Any],
 ) -> tuple[str, np.ndarray, tuple[int, int] | None, DensityMatrix | None]:
     """obj_to_matrix's decoding, plus the state a density payload is validated as."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"a matrix document must be a JSON object, got {type(obj).__name__}")
     kind = obj.get("kind")
     if kind not in KINDS:
         raise ValueError(f"unknown or missing kind {kind!r}")
-    re = np.asarray(obj["re"], dtype=float)
-    im = np.asarray(obj["im"], dtype=float)
+    try:
+        re = np.asarray(obj["re"], dtype=float)
+        im = np.asarray(obj["im"], dtype=float)
+    except KeyError as exc:
+        raise ValueError(f"matrix document has no {exc.args[0]!r} part") from None
+    except TypeError as exc:
+        raise ValueError(f"re/im parts must be arrays of numbers: {exc}") from None
     if re.shape != im.shape or re.ndim != 2:
         raise ValueError("re/im parts must be 2D arrays of the same shape")
     if not (np.all(np.isfinite(re)) and np.all(np.isfinite(im))):
@@ -55,7 +62,9 @@ def _decode(
     m = re + 1j * im
     dims = obj.get("dims")
     if dims is not None:
-        dims = (int(dims[0]), int(dims[1]))
+        if not (isinstance(dims, list) and len(dims) == 2 and all(type(n) is int for n in dims)):
+            raise ValueError(f"dims must be a list of two integers, got {dims!r}")
+        dims = (dims[0], dims[1])
     if kind == "hermitian" and not is_hermitian(m):
         raise ValueError("matrix declared hermitian is not Hermitian within tolerance")
     if kind != "density":

@@ -156,15 +156,9 @@ def tiles_upb_state() -> DensityMatrix:
     return DensityMatrix((np.eye(9) - proj) / 4.0, (3, 3))
 
 
-def _rng(seed: int | np.integer | list | np.random.Generator) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
-
-
 def haar_unitary(d: int, seed) -> np.ndarray:
     """Haar-random unitary via QR of a complex Ginibre matrix."""
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     q, r = np.linalg.qr(g)
     phases = np.diag(r).copy()
@@ -185,7 +179,7 @@ def random_density(d: int, seed, dims: Dims | None = None, cols: int | None = No
         dims = (1, d)
     elif dims[0] * dims[1] != d:
         raise ValueError(f"dims {dims} do not multiply to {d}")
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     g = rng.standard_normal((d, cols or d)) + 1j * rng.standard_normal((d, cols or d))
     m = g @ g.conj().T
     m /= np.trace(m).real
@@ -200,7 +194,7 @@ def _haar_ket(rng: np.random.Generator, d: int) -> np.ndarray:
 
 def random_product_pure(dims: Dims, seed) -> DensityMatrix:
     """Seeded Haar-random pure product state on the given bipartite shape."""
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     a = _haar_ket(rng, dims[0])
     b = _haar_ket(rng, dims[1])
     return DensityMatrix.from_vector(np.kron(a, b), dims)
@@ -210,7 +204,7 @@ def random_separable(dims: Dims, k: int, seed) -> tuple[DensityMatrix, ProductEn
     """Seeded mixture of k pure product states, with its certifying ensemble."""
     if k < 1:
         raise ValueError("need at least one mixture member")
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     weights = rng.dirichlet(np.ones(k)) if k > 1 else np.array([1.0])
     members = []
     for w in weights:

@@ -50,7 +50,7 @@ def _entropy(seed, *keys: int) -> tuple[int, ...]:
 
 
 def _derived_rng(seed, *keys: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(list(_entropy(seed, *keys))))
+    return np.random.default_rng(_entropy(seed, *keys))
 
 
 @dataclass(frozen=True, eq=False)
@@ -116,35 +116,32 @@ def build_ic_povm(d: int, seed) -> Povm:
     if d < 2:
         raise ValueError("need dimension >= 2")
     for attempt in range(POVM_RETRIES):
-        rng = _derived_rng(seed, attempt)
-        projs = []
-        for _ in range(d * d):
-            v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-            v /= np.linalg.norm(v)
-            projs.append(np.outer(v, v.conj()))
-        s = sum(projs)
-        vals, vecs = np.linalg.eigh(s)
+        # row n holds vector n's real part, then its imaginary part
+        draw = _derived_rng(seed, attempt).standard_normal((d * d, 2, d))
+        v = draw[:, 0] + 1j * draw[:, 1]
+        for row in v:
+            row /= np.linalg.norm(row)
+        projs = v[:, :, None] * v.conj()[:, None, :]
+        vals, vecs = np.linalg.eigh(np.sum(projs, axis=0))
         if float(vals[0]) < 1e-12 * float(vals[-1]):
             continue
         inv_sqrt = (vecs / np.sqrt(vals)) @ vecs.conj().T
-        elements = []
-        for p in projs:
-            m = inv_sqrt @ p @ inv_sqrt
-            elements.append(0.5 * (m + m.conj().T))
-        gram = np.array([[np.trace(a @ b).real for b in elements] for a in elements])
+        elements = _hermitian_part(inv_sqrt @ projs @ inv_sqrt)
+        gram = np.trace(elements[:, None] @ elements[None], axis1=2, axis2=3).real
         gvals = np.linalg.eigvalsh(gram)
         if float(gvals[0]) < 1e-10 * float(gvals[-1]):
             continue
         coeff = np.linalg.inv(gram)
-        duals = []
-        for m_idx in range(d * d):
-            dual = sum(coeff[n_idx, m_idx] * elements[n_idx] for n_idx in range(d * d))
-            duals.append(0.5 * (dual + dual.conj().T))
+        duals = _hermitian_part(np.sum(coeff[:, :, None, None] * elements[:, None], axis=0))
         try:
             return Povm(elements, duals, d)
         except ValueError:
             continue
     raise RuntimeError(f"no full-rank IC-POVM after {POVM_RETRIES} seeds; RNG fault?")
+
+
+def _hermitian_part(a: np.ndarray) -> np.ndarray:
+    return 0.5 * (a + a.conj().transpose(0, 2, 1))
 
 
 def product_povm(pa: Povm, pb: Povm) -> Povm:
@@ -235,6 +232,9 @@ def acceptance_probability(
         raise ValueError("need n >= 2 copies (n - 1 measured)")
     if trials < 1:
         raise ValueError("need at least one trial")
+    # written to fail on NaN and Inf
+    if not 0.0 < eps < np.inf:
+        raise ValueError(f"eps must be finite and > 0, got {eps}")
     if target.dims != source.dims:
         raise ValueError(f"shape mismatch: {target.dims} vs {source.dims}")
     if povm is None:
@@ -252,7 +252,7 @@ def acceptance_probability(
             ]
         )
         est = ((counts / shots) @ duals).reshape(-1, d, d)
-        est = 0.5 * (est + est.conj().transpose(0, 2, 1))
+        est = _hermitian_part(est)
         vals = np.linalg.eigvalsh(est - target.mat)
         accepted += int(np.count_nonzero(0.5 * np.sum(np.abs(vals), axis=1) <= eps / 2.0))
     return accepted / trials

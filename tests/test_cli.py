@@ -71,6 +71,13 @@ class TestCriteriaCommand:
         assert code == 1
         assert "unknown" in err
 
+    @pytest.mark.parametrize("only", [",", ""])
+    def test_empty_selection_usage_error(self, capsys, only):
+        code, out, err = run_cli(capsys, "criteria", "--state", "maxent:2", "--only", only)
+        assert code == 1
+        assert out == ""
+        assert "selects no criterion" in err
+
     def test_human_summary_on_stderr(self, capsys):
         code, out, err = run_cli(capsys, "criteria", "--state", "maxent:2", "--only", "ppt")
         assert code == 0
@@ -247,6 +254,13 @@ class TestReportContract:
              "--n-list", "4", "--eps", "0.5", "--trials", "0"],
             ["geometry", "definetti", "--dim", "-3", "--n", "1", "--k", "9"],
             ["geometry", "definetti", "--dim", "0", "--n", "1", "--k", "9"],
+            ["tomo", "accept", "--target", "maxent:2", "--source", "maxent:2",
+             "--n", "50", "--eps", "-1", "--trials", "10"],
+            ["geometry", "farness", "--state", "maxent:2", "--ansatz", "isotropic:2:0",
+             "--n-list", "4", "--eps", "0"],
+            ["geometry", "farness", "--state", "maxent:2", "--ansatz", "isotropic:2:0",
+             "--n-list", ",", "--eps", "0.75"],
+            ["criteria", "--state", "maxent:2", "--only", ","],
         ],
     )
     def test_non_finite_or_nonpositive_options_exit_one(self, capsys, argv):
@@ -309,3 +323,22 @@ class TestReportContract:
     def test_missing_file_exit_one(self, capsys):
         code, _, _ = run_cli(capsys, "state", "show", "--state", "file:/nonexistent.json")
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"kind": "density", "dims": [1, 1]}',
+            "[1, 2]",
+            '{"kind": "density", "dims": [2], "re": [[1.0]], "im": [[0.0]]}',
+            '{"kind": "density", "dims": [null, 2], "re": [[1.0]], "im": [[0.0]]}',
+            '{"kind": "density", "dims": 5, "re": [[1.0]], "im": [[0.0]]}',
+        ],
+        ids=["no-re", "list", "one-dim", "null-dim", "scalar-dims"],
+    )
+    def test_malformed_file_document_exit_one(self, capsys, tmp_path, text):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "state", "show", "--state", f"file:{path}", "--json")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1

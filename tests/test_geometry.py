@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+import sepkit.geometry
+import sepkit.tomography
 from sepkit.geometry import (
     definetti_bound,
     farness_certificate,
@@ -24,6 +26,7 @@ from sepkit.states import (
     tensor_power_bipartite,
     tiles_upb_state,
 )
+from sepkit.tomography import default_product_povm
 
 
 class TestDefinetti:
@@ -127,6 +130,13 @@ class TestWitnessLowerBound:
             witness_lower_bound(rho, 2.0 * np.eye(4), 0.5)
         with pytest.raises(ValueError):
             witness_lower_bound(rho, -0.1 * np.eye(4), 0.5)
+        w = 0.5 * np.eye(4, dtype=complex)
+        w[0, 1] = 1e-9
+        with pytest.raises(ValueError, match="not Hermitian"):
+            witness_lower_bound(rho, w, 0.5)
+        w[0, 1] = np.nan
+        with pytest.raises(ValueError, match="not Hermitian"):
+            witness_lower_bound(rho, w, 0.5)
 
 
 class TestFidelityBound:
@@ -216,6 +226,36 @@ class TestFarness:
         with pytest.raises(ValueError):
             farness_certificate(phi, ens, [5], 0.5, 10, 0)
 
+    def test_builds_default_povm_once(self, monkeypatch):
+        rho = segment_state(max_entangled(2), 0.4)
+        ens = Ensemble(((0.5, maximally_mixed((2, 2))), (0.5, rho)))
+        calls = []
+
+        def counting(dims, seed):
+            calls.append((dims, seed))
+            return default_product_povm(dims, seed)
+
+        monkeypatch.setattr(sepkit.geometry, "default_product_povm", counting)
+        monkeypatch.setattr(sepkit.tomography, "default_product_povm", counting)
+        res = farness_certificate(rho, ens, [5, 20, 60], 0.75, 40, 3)
+        assert calls == [((2, 2), 3)]
+        monkeypatch.undo()
+        explicit = default_product_povm((2, 2), 3)
+        assert res == farness_certificate(rho, ens, [5, 20, 60], 0.75, 40, 3, explicit)
+
+    @pytest.mark.parametrize("eps", [0.0, -0.5, np.nan, np.inf])
+    def test_rejects_eps_not_finite_positive(self, eps):
+        phi = max_entangled(2)
+        ens = Ensemble(((1.0, maximally_mixed((2, 2))),))
+        with pytest.raises(ValueError, match="eps"):
+            farness_certificate(phi, ens, [4], eps, 10, 0)
+
+    def test_rejects_empty_n_list(self):
+        phi = max_entangled(2)
+        ens = Ensemble(((1.0, phi),))
+        with pytest.raises(ValueError, match="at least one n"):
+            farness_certificate(phi, ens, [], 0.75, 10, 0)
+
     @pytest.mark.parametrize("trials", [0, -2])
     def test_rejects_no_trials(self, trials):
         phi = max_entangled(2)
@@ -225,8 +265,6 @@ class TestFarness:
 
     def test_tiles_vs_closest_found_separable_ansatz(self):
         # seed 37 picked for dual-frame conditioning at 3x3 (sum of dual norms)
-        from sepkit.tomography import default_product_povm
-
         tiles = tiles_upb_state()
         best, best_dist = None, np.inf
         for seed in range(150):

@@ -1,5 +1,7 @@
 """Matrix JSON schema: round trips and validation."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -95,3 +97,39 @@ def test_unknown_kind_rejected():
         obj_to_matrix({"kind": "sparse", "re": [[1.0]], "im": [[0.0]]})
     with pytest.raises(ValueError):
         matrix_to_obj(np.eye(2), "sparse")
+
+
+def test_matrix_to_obj_matches_per_entry_floats():
+    m = np.empty((2, 2), dtype=complex)
+    m.real = [[-0.0, 5e-324], [1e308, -1.5]]
+    m.imag = [[5e-324, -0.0], [0.0, -1e308]]
+    obj = matrix_to_obj(m, "matrix", (1, 2))
+    per_entry = {
+        "kind": "matrix",
+        "dims": [1, 2],
+        "re": [[float(x) for x in row] for row in m.real],
+        "im": [[float(x) for x in row] for row in m.imag],
+    }
+    assert obj == per_entry
+    assert all(type(x) is float for row in obj["re"] + obj["im"] for x in row)
+    assert json.dumps(obj) == json.dumps(per_entry)
+    assert json.dumps(obj["re"][0]) == "[-0.0, 5e-324]"
+    assert json.dumps(obj["im"][0]) == "[5e-324, -0.0]"
+
+
+MALFORMED_DOCUMENTS = [
+    ({"kind": "density", "dims": [1, 1]}, "no 're' part"),
+    ({"kind": "density", "dims": [1, 1], "re": [[1.0]]}, "no 'im' part"),
+    ([1, 2], "JSON object"),
+    ({"kind": "density", "dims": [2], "re": [[1.0]], "im": [[0.0]]}, "two integers"),
+    ({"kind": "density", "dims": [None, 2], "re": [[1.0]], "im": [[0.0]]}, "two integers"),
+    ({"kind": "density", "dims": 5, "re": [[1.0]], "im": [[0.0]]}, "two integers"),
+    ({"kind": "density", "dims": [1.0, 1], "re": [[1.0]], "im": [[0.0]]}, "two integers"),
+    ({"kind": "density", "dims": [1, 1], "re": {"a": 1}, "im": [[0.0]]}, "numbers"),
+]
+
+
+@pytest.mark.parametrize("doc, message", MALFORMED_DOCUMENTS)
+def test_malformed_document_rejected(doc, message):
+    with pytest.raises(ValueError, match=message):
+        obj_to_density(doc)

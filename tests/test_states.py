@@ -135,6 +135,12 @@ class TestRandomDensity:
         b = random_density(6, 123, (2, 3))
         assert np.array_equal(a.mat, b.mat)
 
+    @pytest.mark.parametrize("seed", [0, 123, (4, 5)])
+    def test_generator_seed_same_as_its_seed(self, seed):
+        a = random_density(6, seed, (2, 3), cols=8)
+        b = random_density(6, np.random.default_rng(seed), (2, 3), cols=8)
+        assert a.mat.tobytes() == b.mat.tobytes()
+
     def test_mean_approaches_maximally_mixed(self):
         acc = np.zeros((2, 2), dtype=complex)
         n = 10_000
@@ -172,6 +178,13 @@ class TestRandomSeparable:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             random_separable((2, 2), 0, 0)
+
+    @pytest.mark.parametrize("seed", [0, 7, (4, 5)])
+    def test_generator_seed_same_as_its_seed(self, seed):
+        a, ens_a = random_separable((2, 3), 4, seed)
+        b, ens_b = random_separable((2, 3), 4, np.random.default_rng(seed))
+        assert a.mat.tobytes() == b.mat.tobytes()
+        assert ens_a.members[0][0] == ens_b.members[0][0]
 
 
 class TestTensorPower:
