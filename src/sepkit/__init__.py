@@ -44,8 +44,6 @@ from .geometry import (
 )
 from .linalg import (
     DensityMatrix,
-    hermitian_eig,
-    is_psd,
     partial_trace,
     partial_transpose,
     permute_systems,
@@ -66,7 +64,6 @@ from .states import (
     max_entangled_vector,
     maximally_mixed,
     random_density,
-    random_product_pure,
     random_separable,
     segment_state,
     tensor_power_bipartite,

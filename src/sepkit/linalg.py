@@ -108,12 +108,6 @@ def _hermitian(m: np.ndarray) -> np.ndarray:
     return m
 
 
-def hermitian_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (non-increasing) and matching eigenvector columns of a Hermitian matrix."""
-    vals, vecs = np.linalg.eigh(_hermitian(m))
-    return vals[::-1].copy(), vecs[:, ::-1].copy()
-
-
 def singular_values(m: np.ndarray) -> np.ndarray:
     """Singular values in non-increasing order; their sum is the trace norm."""
     return np.linalg.svd(_as_complex(m), compute_uv=False)
@@ -131,12 +125,6 @@ def psd_floor(vals: np.ndarray) -> tuple[float, float]:
 def psd_margin(m: np.ndarray) -> float:
     """Minimum eigenvalue of a Hermitian matrix ("how positive" it is)."""
     return psd_floor(np.linalg.eigvalsh(_hermitian(m)))[0]
-
-
-def is_psd(m: np.ndarray) -> bool:
-    """PSD acceptance under the relative tolerance -PSD_REL_TOL * max|eigenvalue|."""
-    low, tol = psd_floor(np.linalg.eigvalsh(_hermitian(m)))
-    return low >= -tol
 
 
 @dataclass(frozen=True, eq=False)

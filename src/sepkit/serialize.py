@@ -49,12 +49,21 @@ def _decode(
     if kind not in KINDS:
         raise ValueError(f"unknown or missing kind {kind!r}")
     try:
-        re = np.asarray(obj["re"], dtype=float)
-        im = np.asarray(obj["im"], dtype=float)
+        parts = obj["re"], obj["im"]
     except KeyError as exc:
         raise ValueError(f"matrix document has no {exc.args[0]!r} part") from None
-    except TypeError as exc:
-        raise ValueError(f"re/im parts must be arrays of numbers: {exc}") from None
+    for part in parts:
+        if not (isinstance(part, list) and all(isinstance(row, list) for row in part)):
+            raise ValueError("re/im parts must be 2D arrays of numbers")
+        for row in part:
+            for x in row:
+                # numpy would read "1" and true as the number 1; bool subclasses int
+                if isinstance(x, bool) or not isinstance(x, (int, float)):
+                    raise ValueError(f"re/im entries must be numbers, got {x!r}")
+    try:
+        re, im = (np.asarray(part, dtype=float) for part in parts)
+    except OverflowError:
+        raise ValueError("re/im parts must be finite numbers") from None
     if re.shape != im.shape or re.ndim != 2:
         raise ValueError("re/im parts must be 2D arrays of the same shape")
     if not (np.all(np.isfinite(re)) and np.all(np.isfinite(im))):

@@ -192,14 +192,6 @@ def _haar_ket(rng: np.random.Generator, d: int) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def random_product_pure(dims: Dims, seed) -> DensityMatrix:
-    """Seeded Haar-random pure product state on the given bipartite shape."""
-    rng = np.random.default_rng(seed)
-    a = _haar_ket(rng, dims[0])
-    b = _haar_ket(rng, dims[1])
-    return DensityMatrix.from_vector(np.kron(a, b), dims)
-
-
 def random_separable(dims: Dims, k: int, seed) -> tuple[DensityMatrix, ProductEnsemble]:
     """Seeded mixture of k pure product states, with its certifying ensemble."""
     if k < 1:

@@ -11,13 +11,11 @@ A `Povm` holds its elements and duals as read-only stacked (d^2, d, d)
 arrays, so the Born probabilities of a state take one batched product and a
 block of frequency vectors is reconstructed with one matmul against the
 duals. `acceptance_probability` computes the Born distribution of its source
-once per call and handles trials in blocks of `TRIAL_BLOCK`, so its memory
-does not grow with the trial count.
-
-All Monte-Carlo entry points are deterministic per seed, with per-trial
-generators derived from (seed, stream, trial index) so any evaluation order
-gives identical aggregates; each trial draws its counts from its own
-generator before its block is reconstructed.
+once per call and draws every trial from one generator derived from
+(seed, trial stream): trial t is that generator's t-th multinomial draw.
+Trials are drawn and measured in blocks of `TRIAL_BLOCK`, which bounds
+memory only and does not change any result. All Monte-Carlo entry points
+are deterministic per seed.
 """
 
 from __future__ import annotations
@@ -194,10 +192,14 @@ def reconstruct_from_probabilities(probs: np.ndarray, povm: Povm) -> np.ndarray:
     probs = np.asarray(probs, dtype=float)
     if probs.shape != (povm.n_outcomes,):
         raise ValueError("probability vector length does not match POVM")
-    # summed in outcome order, so a single estimate is reproducible to the
-    # bit; acceptance_probability reconstructs its trial blocks by matmul
-    est = np.sum(probs[:, None, None] * povm.duals, axis=0)
-    return 0.5 * (est + est.conj().T)
+    return _estimates(probs[None], povm)[0]
+
+
+def _estimates(freqs: np.ndarray, povm: Povm) -> np.ndarray:
+    """Hermitian linear-inversion estimates for a (b, d^2) block of frequency rows."""
+    d = povm.dim
+    est = freqs @ povm.duals.reshape(povm.n_outcomes, d * d)
+    return _hermitian_part(est.reshape(-1, d, d))
 
 
 def default_product_povm(dims, seed) -> Povm:
@@ -223,10 +225,11 @@ def acceptance_probability(
     (estimate - target) is at most eps/2. Standard error of the returned
     fraction is bounded by 1/(2 sqrt(trials)).
 
-    Trial t draws its counts from its own generator, derived from
-    (seed, trial stream, t), out of a Born distribution computed once per
-    call; blocks of `TRIAL_BLOCK` trials are then reconstructed and measured
-    together.
+    One generator, derived from (seed, trial stream), serves the whole call:
+    trial t takes its counts from that generator's t-th multinomial draw out
+    of a Born distribution computed once per call. Blocks of `TRIAL_BLOCK`
+    trials are drawn, reconstructed and measured together; the block size
+    bounds memory only and does not change the result.
     """
     if n < 2:
         raise ValueError("need n >= 2 copies (n - 1 measured)")
@@ -241,19 +244,11 @@ def acceptance_probability(
         povm = default_product_povm(target.dims, seed)
     p = _born_distribution(source, povm)
     shots = n - 1
-    d = povm.dim
-    duals = povm.duals.reshape(povm.n_outcomes, d * d)
+    rng = _derived_rng(seed, _STREAM_TRIAL)
     accepted = 0
     for start in range(0, trials, TRIAL_BLOCK):
-        counts = np.array(
-            [
-                _derived_rng(seed, _STREAM_TRIAL, t).multinomial(shots, p)
-                for t in range(start, min(start + TRIAL_BLOCK, trials))
-            ]
-        )
-        est = ((counts / shots) @ duals).reshape(-1, d, d)
-        est = _hermitian_part(est)
-        vals = np.linalg.eigvalsh(est - target.mat)
+        counts = rng.multinomial(shots, p, size=min(TRIAL_BLOCK, trials - start))
+        vals = np.linalg.eigvalsh(_estimates(counts / shots, povm) - target.mat)
         accepted += int(np.count_nonzero(0.5 * np.sum(np.abs(vals), axis=1) <= eps / 2.0))
     return accepted / trials
 

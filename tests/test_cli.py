@@ -332,8 +332,13 @@ class TestReportContract:
             '{"kind": "density", "dims": [2], "re": [[1.0]], "im": [[0.0]]}',
             '{"kind": "density", "dims": [null, 2], "re": [[1.0]], "im": [[0.0]]}',
             '{"kind": "density", "dims": 5, "re": [[1.0]], "im": [[0.0]]}',
+            '{"kind": "density", "dims": [1, 1], "re": [["1"]], "im": [[0]]}',
+            '{"kind": "density", "dims": [1, 1], "re": [[true]], "im": [[0]]}',
+            '{"kind": "density", "dims": [1, 2], "re": [[true, 0], [0, 0]], "im": [[0, 0], [0, 0]]}',
+            '{"kind": "density", "dims": [1, 1], "re": [[1' + "0" * 400 + ']], "im": [[0]]}',
         ],
-        ids=["no-re", "list", "one-dim", "null-dim", "scalar-dims"],
+        ids=["no-re", "list", "one-dim", "null-dim", "scalar-dims", "string-entry", "bool-entry",
+             "bool-among-numbers", "int-overflow"],
     )
     def test_malformed_file_document_exit_one(self, capsys, tmp_path, text):
         path = tmp_path / "bad.json"

@@ -18,7 +18,6 @@ from sepkit.states import (
     max_entangled,
     maximally_mixed,
     random_density,
-    random_product_pure,
     random_separable,
 )
 class TestMaxEntangledMargins:
@@ -79,7 +78,7 @@ class TestMaximallyMixedMargins:
 class TestProductStates:
     def test_all_pass_on_pure_products(self):
         for seed in range(5):
-            rho = random_product_pure((2, 3), seed)
+            rho, _ = random_separable((2, 3), 1, seed)
             for name, test in ONE_SHOT_TESTS.items():
                 v = test(rho)
                 assert v.passed, f"{name} failed on a pure product state: {v.margin}"
@@ -91,12 +90,12 @@ class TestProductStates:
         s_a, s_b = v.details["s_a"], v.details["s_b"]
         assert abs(v.margin - min(s_a, s_b)) < 1e-10
     def test_majorization_equality_at_k1_for_pure(self):
-        rho = random_product_pure((2, 2), 3)
+        rho, _ = random_separable((2, 2), 1, 3)
         v = majorization_test(rho)
         assert v.passed
         assert abs(v.details["prefix_diffs_a"][0]) < 1e-10
     def test_cross_norm_zero_margin_for_pure_products(self):
-        rho = random_product_pure((3, 3), 4)
+        rho, _ = random_separable((3, 3), 1, 4)
         v = cross_norm_test(rho)
         assert v.passed
         assert abs(v.margin) < 1e-9

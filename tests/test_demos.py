@@ -19,9 +19,9 @@ def test_demos_found():
 def test_demo_runs(demo):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    # the subprocess is outside pytest's filterwarnings, so set the same filter
+    # the subprocess is outside pytest's filterwarnings, so set the same filters
     proc = subprocess.run(
-        [sys.executable, "-W", "error::RuntimeWarning", str(demo)],
+        [sys.executable, "-W", "error::RuntimeWarning", "-W", "error::DeprecationWarning", str(demo)],
         cwd=ROOT,
         env=env,
         capture_output=True,

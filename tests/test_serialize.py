@@ -126,6 +126,12 @@ MALFORMED_DOCUMENTS = [
     ({"kind": "density", "dims": 5, "re": [[1.0]], "im": [[0.0]]}, "two integers"),
     ({"kind": "density", "dims": [1.0, 1], "re": [[1.0]], "im": [[0.0]]}, "two integers"),
     ({"kind": "density", "dims": [1, 1], "re": {"a": 1}, "im": [[0.0]]}, "numbers"),
+    # numpy reads "1" and true as the number 1, and [[1, true]] as int64
+    ({"kind": "density", "dims": [1, 1], "re": [["1"]], "im": [[0]]}, "numbers"),
+    ({"kind": "density", "dims": [1, 1], "re": [[True]], "im": [[0]]}, "numbers"),
+    ({"kind": "density", "dims": [1, 2], "re": [[True, 0], [0, 0]], "im": [[0, 0], [0, 0]]}, "numbers"),
+    ({"kind": "density", "dims": [1, 1], "re": [[1]], "im": [[False]]}, "numbers"),
+    ({"kind": "density", "dims": [1, 1], "re": [[10**400]], "im": [[0]]}, "finite"),
 ]
 
 

@@ -22,7 +22,6 @@ from sepkit.states import (
     max_entangled_vector,
     maximally_mixed,
     random_density,
-    random_product_pure,
     random_separable,
     segment_state,
     tensor_power_bipartite,
@@ -159,7 +158,7 @@ class TestRandomDensity:
 
 class TestRandomSeparable:
     def test_single_member_passes_all_criteria(self):
-        rho = random_product_pure((2, 2), 0)
+        rho, _ = random_separable((2, 2), 1, 0)
         for test in ONE_SHOT_TESTS.values():
             assert test(rho).passed
 

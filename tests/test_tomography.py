@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from sepkit import tomography
 from sepkit.linalg import DensityMatrix, tensor
 from sepkit.states import (
     max_entangled,
@@ -99,12 +100,16 @@ def reference_estimate(probs, povm):
 
 
 def reference_acceptance(target, source, n, eps, trials, seed, povm):
-    """The per-trial loop acceptance_probability batches: sample, reconstruct,
-    one eigvalsh per trial. ``seed`` is the entropy tuple."""
+    """The per-trial loop acceptance_probability batches: trial t is the t-th
+    multinomial draw of one generator on (seed, trial stream 7), then a
+    reconstruction and one eigvalsh per trial. ``seed`` is the entropy tuple."""
+    p = np.clip(born_probabilities(source, povm), 0.0, None)
+    p /= np.sum(p)
+    rng = np.random.default_rng((*seed, 7))
     accepted = 0
-    for trial in range(trials):
-        counts = sample_outcomes(source, povm, n - 1, (*seed, 7, trial))
-        est = reference_estimate(counts.counts / counts.total, povm)
+    for _ in range(trials):
+        counts = rng.multinomial(n - 1, p)
+        est = reference_estimate(counts / (n - 1), povm)
         vals = np.linalg.eigvalsh(est - target.mat)
         if 0.5 * float(np.sum(np.abs(vals))) <= eps / 2.0:
             accepted += 1
@@ -297,9 +302,16 @@ class TestReconstruct:
     @pytest.mark.parametrize("dims, seed", [((2, 2), 11), ((3, 3), 12), ((2, 3), 13)])
     def test_matches_outcome_order_loop(self, dims, seed):
         pp = default_product_povm(dims, seed)
-        rho = random_density(dims[0] * dims[1], seed, dims)
+        d = pp.dim
+        rho = random_density(d, seed, dims)
         for probs in (born_probabilities(rho, pp), sample_outcomes(rho, pp, 40, seed).counts / 40):
-            assert np.array_equal(reconstruct_from_probabilities(probs, pp), reference_estimate(probs, pp))
+            got = reconstruct_from_probabilities(probs, pp)
+            # the stacked estimator acceptance_probability applies to its trial blocks
+            row = (probs[None] @ pp.duals.reshape(d * d, d * d)).reshape(d, d)
+            assert np.array_equal(got, 0.5 * (row + row.conj().T))
+            # rounding scale of the sum: sum_i |r_i| max|M_i*|
+            scale = float(np.abs(probs) @ np.max(np.abs(pp.duals), axis=(1, 2)))
+            assert np.max(np.abs(got - reference_estimate(probs, pp))) <= 1e-15 * scale
 
     def test_rejects_empty(self):
         povm = build_ic_povm(2, 1)
@@ -389,6 +401,25 @@ class TestAcceptance:
         ref = reference_acceptance(phi, phi, 150, 0.75, trials, (5,), pov)
         assert got == ref
         assert 0.0 < got < 1.0
+
+    @pytest.mark.parametrize("block", [1, 7, 256])
+    def test_result_independent_of_block_size(self, monkeypatch, block):
+        phi = max_entangled(2)
+        pov = default_product_povm((2, 2), 5)
+        expected = acceptance_probability(phi, phi, 150, 0.75, 300, 5, pov)
+        monkeypatch.setattr(tomography, "TRIAL_BLOCK", block)
+        assert acceptance_probability(phi, phi, 150, 0.75, 300, 5, pov) == expected
+
+    def test_single_trial_is_first_draw_of_trial_stream(self):
+        phi = max_entangled(2)
+        pov = default_product_povm((2, 2), TREND_SEED)
+        outcomes = set()
+        for seed in range(20):
+            est = reconstruct(sample_outcomes(phi, pov, 149, (seed, 7)), pov)
+            inside = 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(est - phi.mat)))) <= 0.75 / 2.0
+            assert acceptance_probability(phi, phi, 150, 0.75, 1, seed, pov) == float(inside)
+            outcomes.add(inside)
+        assert outcomes == {True, False}
 
     def test_memory_bounded_by_block_not_trials(self):
         phi = max_entangled(3)
