@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .closure import closure_sweep
-from .criteria import ENTROPIES, ONE_SHOT_TESTS, symext_verdict
+from .criteria import ENTROPIES, ONE_SHOT_TESTS, block_objs, symext_verdict
 from .geometry import (
     BISECT_TOL,
     definetti_bound,
@@ -29,14 +29,12 @@ from .geometry import (
     witness_lower_bound,
 )
 from .linalg import partial_transpose
-from .productopt import min_overlap_with_span
+from .productopt import min_overlap_with_span, upb_general_position
 from .serialize import density_to_obj, matrix_to_obj
 from .statespec import StateSpecError, parse_state_spec
 from .states import Ensemble, tiles_upb_vectors
 from .symext import DEFAULT_TOL, has_symmetric_extension
 from .tomography import acceptance_probability
-
-TILES_MIN_OVERLAP_THRESHOLD = 1e-3
 
 
 def _verdict_obj(v) -> dict:
@@ -64,13 +62,17 @@ def _cmd_criteria(args) -> tuple[dict, bool]:
         verdicts.append(symext_verdict(parsed.state, args.symext_k))
     results = {"state": args.state, "verdicts": [_verdict_obj(v) for v in verdicts]}
     if parsed.kind == "tiles":
+        # the state's range is the orthocomplement of the tiles vectors; when
+        # they are unextendible it holds no product vector, so the state is
+        # entangled (range criterion). The overlap bound is a diagnostic only.
         ppt_passed = any(v.criterion == "ppt" and v.passed for v in verdicts)
-        overlap = min_overlap_with_span(
-            tiles_upb_vectors(), (3, 3), starts=32, seed=args.seed
-        )
-        certified = overlap > TILES_MIN_OVERLAP_THRESHOLD
+        vectors = tiles_upb_vectors()
+        position = upb_general_position(vectors, (3, 3))
+        overlap = min_overlap_with_span(vectors, (3, 3), starts=32, seed=args.seed)
+        certified = position["unextendible"]
         results["upb_certificate"] = {
-            "min_product_overlap": {"value": overlap, "threshold": TILES_MIN_OVERLAP_THRESHOLD},
+            "general_position": position,
+            "min_product_overlap": {"value": overlap},
             "entangled": certified,
         }
         if ppt_passed and certified:
@@ -87,6 +89,8 @@ def _cmd_symext(args) -> tuple[dict, bool]:
         "status": res.status,
         "residual": {"value": res.residual, "tol": res.tol},
         "iterations": res.iterations,
+        "stop_reason": res.stop_reason,
+        "blocks": block_objs(res.blocks),
         "witness_extension": None
         if res.witness_extension is None
         else matrix_to_obj(res.witness_extension, "hermitian"),

@@ -139,6 +139,11 @@ ONE_SHOT_TESTS = {
 }
 
 
+def block_objs(blocks) -> list[dict]:
+    """FeasibilityResult.blocks as JSON-ready records, one per Young diagram."""
+    return [{"size": s, "multiplicity": f, "face_dim": r} for s, f, r in blocks]
+
+
 def symext_verdict(rho: DensityMatrix, symext_k: int = 2, **symext_opts) -> Verdict:
     """The symmetric-extension search as a Verdict; PPT runs only to flag infeasible-evidence."""
     from .symext import has_symmetric_extension
@@ -154,6 +159,8 @@ def symext_verdict(rho: DensityMatrix, symext_k: int = 2, **symext_opts) -> Verd
         "solver_status": res.status,
         "iterations": res.iterations,
         "residual": res.residual,
+        "stop_reason": res.stop_reason,
+        "blocks": block_objs(res.blocks),
     }
     if res.status == "infeasible-evidence" and ppt_test(rho).passed:
         details["flag"] = "entangled by symmetric-extension evidence despite PPT pass"

@@ -21,12 +21,32 @@ Beyond the empty face, infeasibility detection is heuristic: when the gap
 between the two projections stabilizes above tolerance, the result is
 reported as evidence, not proof; runs that neither converge nor stabilize are
 inconclusive.
+
+Block coordinates. Every iterate is invariant under permutations of the B
+factors, so by Schur–Weyl duality it is block diagonal,
+X = ⊕_λ X_λ ⊗ I_{f_λ}, over the Young diagrams λ ⊢ k with at most dB rows:
+X_λ acts on A ⊗ Q_λ, Q_λ the U(dB) irrep of dimension m_λ, and f_λ is the
+dimension of the S_k irrep. The search stores only the blocks
+X_λ = V_λ† X V_λ, V_λ = I_A ⊗ U_λ, where U_λ is an isometry onto one copy of
+Q_λ inside (C^dB)^{⊗k}: the joint eigenspace of the Jucys–Murphy elements
+X_j = Σ_{i<j} (i j) at the contents of λ's row-reading tableau, cut one factor
+at a time (the eigenvalues are integers, so every cut has a gap of 1). The PSD
+or face projection, the stop-check spectrum and the Frobenius gap split over
+the blocks, a block of multiplicity f counting f times in the norm; the affine
+step and the marginal pass through the B factor only, as products with the
+sparse matrix H_λ[(b,b'),(p,q)] = (1/k) Σ_j (U_λ† E_bb' on B_j U_λ)[p,q],
+which is nonzero only where the letter counts of p and q differ by b and b'.
+Only a returned witness
+is rebuilt as a dense dA·dB^k matrix. Iterates, stop tests and outcomes are
+those of the dense search; only rounding differs.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -42,6 +62,9 @@ PLATEAU_REL = 1e-6
 # not; one in between makes the cut ambiguous and the search keeps the full cone
 SPECTRAL_ZERO = 1e-10
 SPECTRAL_SUPPORT = 1e-6
+# schur_weyl_blocks keeps the data of up to 8 (dB, k) whose isometries hold
+# at most this many complex numbers (16 MB); larger ones are built per search
+CACHE_ENTRIES = 2**20
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,6 +99,228 @@ class FeasibilityResult:
     iterations: int
     witness_extension: np.ndarray | None = None
     tol: float = DEFAULT_TOL
+    # psd-within-tol | marginal-within-tol | plateau | empty-face | max-iters
+    stop_reason: str = "max-iters"
+    # (block size dA·m_λ, multiplicity f_λ, face dimension) per Young diagram
+    blocks: tuple[tuple[int, int, int], ...] = ()
+
+
+@dataclass(frozen=True, eq=False)
+class _SparseMap:
+    """x -> x @ M for a sparse matrix M, held as its nonzero entries grouped by column."""
+
+    rows: np.ndarray  # row of each entry
+    vals: np.ndarray
+    starts: np.ndarray  # first entry of each column that has one
+    cols: np.ndarray  # those columns
+    n_cols: int
+
+    @classmethod
+    def from_entries(cls, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, n_cols: int) -> _SparseMap:
+        order = np.argsort(cols, kind="stable")
+        targets, starts = np.unique(cols[order], return_index=True)
+        arrays = (rows[order], vals[order], starts, targets)
+        for a in arrays:
+            a.flags.writeable = False
+        return cls(*arrays, n_cols)
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        out = np.zeros((x.shape[0], self.n_cols), dtype=complex)
+        out[:, self.cols] = np.add.reduceat(x[:, self.rows] * self.vals, self.starts, axis=1)
+        return out
+
+
+@dataclass(frozen=True, eq=False)
+class SchurWeylBlocks:
+    """Schur–Weyl data of (C^dB)^{⊗k}, one entry per Young diagram λ ⊢ k with at most dB rows.
+
+    isometries[i] (dB^k x m_λ) spans one copy of Q_λ; multiplicities[i]
+    is f_λ. A permutation-invariant X on A ⊗ B^{⊗k} is stored stacked: a
+    (dA^2, sum m_λ^2) array whose columns offsets[i]:offsets[i+1] hold
+    X_λ[(a,p),(a',q)] at [(a,a'),(p,q)]. An operator w on A:B regrouped the
+    same way, w[(a,b),(a',b')] at [(a,a'),(b,b')], lifts to the stack of
+    symmetrize_b(w ⊗ I) as lift(w), and the marginal Tr_{B_2..B_k} X of a
+    stack, regrouped, is marginal(stack). All arrays are read-only.
+    """
+
+    multiplicities: tuple[int, ...]
+    isometries: tuple[np.ndarray, ...]
+    offsets: tuple[int, ...]
+    lift: _SparseMap  # w -> w @ H, H = [H_λ ...] (dB^2, sum m^2)
+    marginal: _SparseMap  # stack -> stack @ (H f_λ)†
+    weights: np.ndarray  # sqrt(f_λ) per stacked column: ||X||_F = ||stack * weights||_F
+
+    @property
+    def irrep_dims(self) -> tuple[int, ...]:
+        return tuple(u.shape[1] for u in self.isometries)
+
+
+def young_diagrams(db: int, k: int) -> list[tuple[tuple[int, ...], int, int]]:
+    """(λ, f_λ, m_λ) for every λ ⊢ k with at most db rows, rows in non-increasing order.
+
+    f_λ (S_k irrep) by the hook-length formula, m_λ (U(db) irrep) by the
+    hook-content formula; sum_λ f_λ m_λ = db^k.
+    """
+    shapes: list[tuple[int, ...]] = []
+
+    def grow(prefix: tuple[int, ...], rest: int) -> None:
+        if rest == 0:
+            shapes.append(prefix)
+        elif len(prefix) < db:
+            for part in range(min(rest, prefix[-1] if prefix else rest), 0, -1):
+                grow(prefix + (part,), rest - part)
+
+    grow((), k)
+    out = []
+    for lam in shapes:
+        boxes = [(r, c) for r, row in enumerate(lam) for c in range(row)]
+        col_len = [sum(1 for row in lam if row > c) for c in range(lam[0])]
+        hooks = math.prod(lam[r] - c + col_len[c] - r - 1 for r, c in boxes)
+        contents = math.prod(db + c - r for r, c in boxes)
+        out.append((lam, math.factorial(k) // hooks, contents // hooks))
+    return out
+
+
+def _jucys_murphy_isometry(shape: tuple[int, ...], db: int) -> np.ndarray:
+    """Orthonormal basis of Q_λ ⊗ e_T in (C^db)^{⊗k}, T the row-reading tableau of shape λ.
+
+    W_1 = C^db; W_j is the eigenspace of X_j = Σ_{i<j} (i j) on W_{j-1} ⊗ C^db
+    at the content of the box holding j in T. X_j keeps the letter counts of
+    a basis state, so each cut runs per count vector and every column lies
+    in one: the isometry is as sparse as the weight spaces of Q_λ, and so
+    are the blocks of operators that conserve the counts.
+    """
+    contents = [c - r for r, row in enumerate(shape) for c in range(row)]
+    # the letters of a column's basis states as a sorted tuple: its counts
+    u, counts = np.eye(db, dtype=complex), [(b,) for b in range(db)]
+    for j in range(1, len(contents)):
+        y = np.kron(u, np.eye(db))
+        t = y.reshape([db] * (j + 1) + [-1])
+        xy = sum(np.swapaxes(t, i, j) for i in range(j)).reshape(y.shape)
+        sectors: dict[tuple[int, ...], list[int]] = {}
+        for col, w in enumerate(tuple(sorted(w + (b,))) for w in counts for b in range(db)):
+            sectors.setdefault(w, []).append(col)
+        cols, counts = [], []
+        for w, idx in sectors.items():
+            vals, vecs = np.linalg.eigh(y[:, idx].conj().T @ xy[:, idx])
+            cut = vecs[:, np.abs(vals - contents[j]) < 0.5]
+            cols.append(y[:, idx] @ cut)
+            counts += [w] * cut.shape[1]
+        u = np.hstack(cols)
+    return u
+
+
+def _b_coupling(u: np.ndarray, db: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nonzero entries (rows (b,b'), columns (p,q), values) of H[(b,b'),(p,q)] = (1/k) Σ_j (U† E_bb' on B_j U)[p,q].
+
+    Every column of U lies in one letter-count sector, so an entry vanishes
+    unless p's sector holds b and q's holds b'; each (b, b') block is
+    computed over those columns only.
+    """
+    m = u.shape[1]
+    t = u.reshape([db] * k + [m])
+    # per position j, U's rows with letter b there: (db, db^(k-1), m)
+    slices = [np.moveaxis(t, j, 0).reshape(db, -1, m) for j in range(k)]
+    holds = [np.flatnonzero(np.any([s[b] for s in slices], axis=(0, 1))) for b in range(db)]
+    rows, cols, vals = [], [], []
+    for b in range(db):
+        for b2 in range(db):
+            p, q = holds[b], holds[b2]
+            blk = sum(s[b][:, p].conj().T @ s[b2][:, q] for s in slices) / k
+            i, j = np.nonzero(blk)
+            rows.append(np.full(i.size, b * db + b2))
+            cols.append(p[i] * m + q[j])
+            vals.append(blk[i, j])
+    return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
+
+
+def schur_weyl_blocks(db: int, k: int) -> SchurWeylBlocks:
+    """The block data for dB = db and k copies, built on first use.
+
+    Cached when its isometries hold at most CACHE_ENTRIES numbers.
+    """
+    if db**k * sum(m for _, _, m in young_diagrams(db, k)) > CACHE_ENTRIES:
+        return _build_blocks(db, k)
+    return _cached_blocks(db, k)
+
+
+def _build_blocks(db: int, k: int) -> SchurWeylBlocks:
+    diagrams = young_diagrams(db, k)
+    if sum(f * m for _, f, m in diagrams) != db**k:
+        raise RuntimeError(f"Young diagram dimensions do not add up to {db}^{k}")
+    isometries = []
+    for lam, _, m in diagrams:
+        u = _jucys_murphy_isometry(lam, db)
+        if u.shape[1] != m:
+            raise RuntimeError(f"Jucys–Murphy cut for {lam} has {u.shape[1]} columns, expected {m}")
+        isometries.append(u)
+    mults = [f for _, f, _ in diagrams]
+    sizes = [m * m for _, _, m in diagrams]
+    offsets = [int(o) for o in np.cumsum([0, *sizes])]
+    entries = [_b_coupling(u, db, k) for u in isometries]
+    rows = np.concatenate([r for r, _, _ in entries])
+    cols = np.concatenate([c + lo for (_, c, _), lo in zip(entries, offsets)])
+    vals = np.concatenate([v for _, _, v in entries])
+    f = np.repeat(mults, sizes)
+    sw = SchurWeylBlocks(
+        multiplicities=tuple(mults),
+        isometries=tuple(isometries),
+        offsets=tuple(offsets),
+        lift=_SparseMap.from_entries(rows, cols, vals, offsets[-1]),
+        marginal=_SparseMap.from_entries(cols, rows, f[cols] * vals.conj(), db * db),
+        weights=np.sqrt(f),
+    )
+    for a in (sw.weights, *sw.isometries):
+        a.flags.writeable = False
+    return sw
+
+
+_cached_blocks = lru_cache(maxsize=8)(_build_blocks)
+
+
+def _regroup(x: np.ndarray, d1: int, d2: int) -> np.ndarray:
+    """X[(i,p),(i',q)] -> R[(i,i'),(p,q)] for X on C^d1 ⊗ C^d2."""
+    return x.reshape(d1, d2, d1, d2).transpose(0, 2, 1, 3).reshape(d1 * d1, d2 * d2)
+
+
+def _ungroup(r: np.ndarray, d1: int, d2: int) -> np.ndarray:
+    """Inverse of _regroup: R[(i,i'),(p,q)] -> X[(i,p),(i',q)]."""
+    return r.reshape(d1, d1, d2, d2).transpose(0, 2, 1, 3).reshape(d1 * d2, d1 * d2)
+
+
+def _compress(x: np.ndarray, sw: SchurWeylBlocks, da: int) -> np.ndarray:
+    """The stacked blocks V_λ† X V_λ of a permutation-invariant X."""
+    nb = x.shape[0] // da
+    blocks = []
+    for u in sw.isometries:
+        m = u.shape[1]
+        blk = u.conj().T @ (x.reshape(-1, nb) @ u).reshape(da, nb, da * m)
+        blocks.append(_regroup(blk.reshape(da * m, da * m), da, m))
+    return np.hstack(blocks)
+
+
+def _expand(s: np.ndarray, sw: SchurWeylBlocks, problem: ExtensionProblem) -> np.ndarray:
+    """The dense operator symmetrize_b(Σ_λ f_λ V_λ X_λ V_λ†) = ⊕_λ X_λ ⊗ I_{f_λ} of stacked blocks."""
+    da, n = problem.dim_a, problem.total_dim
+    acc = np.zeros((da, n // da, n), dtype=complex)
+    for f, u, lo, hi in zip(sw.multiplicities, sw.isometries, sw.offsets, sw.offsets[1:]):
+        m = u.shape[1]
+        half = (_ungroup(s[:, lo:hi], da, m).reshape(-1, m) @ u.conj().T).reshape(da, m, n)
+        acc += f * (u @ half)
+    return symmetrize_b(acc.reshape(n, n), problem)
+
+
+def _gram_inverse(db: int, k: int) -> np.ndarray:
+    """Inverse of the marginal constraint's Gram map, acting on regrouped A:B operators from the right.
+
+    On symmetric operators the Gram map is alpha I + beta * db * P with
+    P(Y) = Tr_B(Y) ⊗ I/db.
+    """
+    alpha = db ** (k - 1) / k
+    beta = (k - 1) * db ** (k - 2) / k
+    gamma = beta * db / (alpha + beta * db)
+    e = np.eye(db).reshape(-1)
+    return (np.eye(db * db) - gamma / db * np.outer(e, e)) / alpha
 
 
 def symmetrize_b(x: np.ndarray, problem: ExtensionProblem) -> np.ndarray:
@@ -130,7 +375,8 @@ def project_affine(x: np.ndarray, problem: ExtensionProblem) -> np.ndarray:
 
     Projects onto the symmetric subspace first, then applies the exact
     closed-form correction for the marginal constraint (the normal equation
-    of the partial-trace map restricted to symmetric operators).
+    of the partial-trace map restricted to symmetric operators). Dense; the
+    search takes the same step in block coordinates.
     """
     da, db, k = problem.dim_a, problem.dim_b, problem.copies
     xs = symmetrize_b(x, problem)
@@ -186,6 +432,17 @@ def support_face(problem: ExtensionProblem) -> np.ndarray | None:
     return _null_space(symmetrize_b(lift, problem))
 
 
+def _block_faces(face: np.ndarray, sw: SchurWeylBlocks, da: int) -> list[np.ndarray]:
+    """Per block, the eigenvectors of V_λ† Π_S V_λ at eigenvalue 1: the face S in block coordinates."""
+    t = face.reshape(da, face.shape[0] // da, face.shape[1])
+    out = []
+    for u in sw.isometries:
+        c = (u.conj().T @ t).reshape(da * u.shape[1], -1)
+        vals, vecs = np.linalg.eigh(c @ c.conj().T)
+        out.append(vecs[:, vals > 0.5])
+    return out
+
+
 def verify_extension(x: np.ndarray, rho: DensityMatrix, k: int) -> dict[str, float]:
     """Residuals of the three extension constraint families for a candidate X."""
     problem = ExtensionProblem(rho, k)
@@ -216,8 +473,11 @@ def has_symmetric_extension(
     families within tol (the affine-exact iterate PSD to within tol, or the
     PSD-exact iterate matching the marginal to within tol); returns
     infeasible-evidence when the inter-set gap stabilizes above tol over a
-    50-iteration window; otherwise inconclusive at max_iters. Raises
-    ValueError unless tol is finite and > 0, max_iters >= 1 and start is finite.
+    50-iteration window; otherwise inconclusive at max_iters. The result
+    names its stop_reason and, per Young diagram, the block size, multiplicity
+    and face dimension searched. A start is symmetrized over the B factors
+    before use. Raises ValueError unless tol is finite and > 0,
+    max_iters >= 1 and start is finite with shape (dA·dB^k, dA·dB^k).
     """
     # written to fail on a NaN tol
     if not (0.0 < tol < np.inf and max_iters >= 1):
@@ -225,41 +485,67 @@ def has_symmetric_extension(
     if start is not None and not np.all(np.isfinite(start)):
         raise ValueError("start holds NaN or Inf")
     problem = ExtensionProblem(rho, k)
+    n, da, db = problem.total_dim, problem.dim_a, problem.dim_b
+    if start is not None and np.shape(start) != (n, n):
+        raise ValueError(f"start has shape {np.shape(start)}, expected {(n, n)}")
+    sw = schur_weyl_blocks(db, k)
     face = support_face(problem)
+    sizes = [da * m for m in sw.irrep_dims]
     if face is not None and face.shape[1] == 0:
-        n = problem.total_dim
+        blocks = tuple((size, f, 0) for size, f in zip(sizes, sw.multiplicities))
         residual = float(np.linalg.norm(project_affine(np.zeros((n, n)), problem)))
-        return FeasibilityResult("infeasible-evidence", residual, 0, None, tol)
+        return FeasibilityResult("infeasible-evidence", residual, 0, None, tol, "empty-face", blocks)
+    # per block, the face basis, or None on the full cone
+    faces = [None] * len(sizes) if face is None else _block_faces(face, sw, da)
+    blocks = tuple(
+        (size, f, size if b is None else b.shape[1]) for size, f, b in zip(sizes, sw.multiplicities, faces)
+    )
     if start is None:
         rho_b = rho.marginal("B")
         x = rho.mat
         for _ in range(k - 1):
             x = tensor(x, rho_b)
-        x = symmetrize_b(x, problem)
     else:
         x = np.asarray(start, dtype=complex)
         x = 0.5 * (x + x.conj().T)
+    x = _compress(symmetrize_b(x, problem), sw, da)
+    rho_r = _regroup(rho.mat, da, db)
+    parts = [(slice(lo, hi), m, b) for lo, hi, m, b in zip(sw.offsets, sw.offsets[1:], sw.irrep_dims, faces)]
+    gram = _gram_inverse(db, k)
+    defect = rho_r - sw.marginal(x)
     correction = np.zeros_like(x)
     window: deque[float] = deque(maxlen=PLATEAU_WINDOW)
     for it in range(1, max_iters + 1):
-        y = project_affine(x, problem)
+        y = x + sw.lift(defect @ gram)
         z = y + correction
-        x = project_psd(z) if face is None else project_face(z, face)
+        x = np.zeros_like(z)
+        y_min = np.inf
+        for cols, m, basis in parts:
+            y_min = min(y_min, np.linalg.eigvalsh(_ungroup(y[:, cols], da, m))[0])
+            # a block whose face is {0} stays 0
+            if basis is None or basis.shape[1]:
+                z_blk = _ungroup(z[:, cols], da, m)
+                x_blk = project_psd(z_blk) if basis is None else project_face(z_blk, basis)
+                x[:, cols] = _regroup(x_blk, da, m)
         correction = z - x
-        gap = float(np.linalg.norm(x - y))
+        gap = float(np.linalg.norm((x - y) * sw.weights))
         window.append(gap)
         # y satisfies the affine constraints exactly; feasible once it is PSD
-        # within tol. x is PSD and symmetric exactly (the face is invariant
-        # under permutations of the B factors); feasible once its marginal
-        # matches within tol.
-        y_min = float(np.linalg.eigvalsh(y)[0])
+        # within tol. x is PSD, and permutation-invariant by construction;
+        # feasible once its marginal matches within tol. That marginal's
+        # defect drives the next iteration's affine step.
         if y_min >= -tol:
-            return FeasibilityResult("feasible", max(0.0, -y_min), it, y, tol)
-        marg = float(np.linalg.norm(_trace_out_extra_copies(x, problem) - rho.mat))
+            witness = _expand(y, sw, problem)
+            return FeasibilityResult(
+                "feasible", max(0.0, -float(y_min)), it, witness, tol, "psd-within-tol", blocks
+            )
+        defect = rho_r - sw.marginal(x)
+        marg = float(np.linalg.norm(defect))
         if marg <= tol:
-            return FeasibilityResult("feasible", marg, it, x, tol)
+            witness = _expand(x, sw, problem)
+            return FeasibilityResult("feasible", marg, it, witness, tol, "marginal-within-tol", blocks)
         if it >= PLATEAU_WINDOW:
             lo, hi = min(window), max(window)
             if lo > tol and (hi - lo) <= PLATEAU_REL * hi:
-                return FeasibilityResult("infeasible-evidence", gap, it, None, tol)
-    return FeasibilityResult("inconclusive", gap, max_iters, None, tol)
+                return FeasibilityResult("infeasible-evidence", gap, it, None, tol, "plateau", blocks)
+    return FeasibilityResult("inconclusive", gap, max_iters, None, tol, "max-iters", blocks)

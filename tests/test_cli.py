@@ -94,7 +94,12 @@ class TestTilesFlag:
         res = parse_report(out)["results"]
         cert = res["upb_certificate"]
         assert cert["entangled"] is True
-        assert cert["min_product_overlap"]["value"] > cert["min_product_overlap"]["threshold"]
+        position = cert["general_position"]
+        assert position["unextendible"] is True
+        # every 3 of the 5 local parts on each side span C^3 (Bennett et al.)
+        assert min(position["min_abs_det_a"], position["min_abs_det_b"]) > 0.4
+        assert position["max_second_schmidt"] < position["tol"]
+        assert cert["min_product_overlap"]["value"] > 1e-3  # the diagnostic bound agrees
         assert res["flag"] == "entangled by UPB certificate despite PPT pass"
 
 
@@ -117,7 +122,21 @@ class TestSymextCommand:
     def test_maxent_infeasible(self, capsys):
         code, out, _ = run_cli(capsys, "symext", "--state", "maxent:2", "--k", "2", "--json")
         assert code == 0  # a scientific verdict, not an error
-        assert parse_report(out)["results"]["status"] == "infeasible-evidence"
+        res = parse_report(out)["results"]
+        assert res["status"] == "infeasible-evidence"
+        assert res["stop_reason"] == "empty-face"
+        # symmetric and antisymmetric blocks of 2 x 3 and 2 x 1, both with an empty face
+        assert res["blocks"] == [
+            {"size": 6, "multiplicity": 1, "face_dim": 0},
+            {"size": 2, "multiplicity": 1, "face_dim": 0},
+        ]
+
+    def test_criteria_verdict_says_why_it_stopped(self, capsys):
+        code, out, _ = run_cli(capsys, "criteria", "--state", "isotropic:2:0.8", "--only", "symext", "--json")
+        assert code == 0
+        details = parse_report(out)["results"]["verdicts"][0]["details"]
+        assert details["stop_reason"] == "plateau"
+        assert [b["size"] for b in details["blocks"]] == [6, 2]
 
 
 class TestTomoCommand:

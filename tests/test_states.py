@@ -12,7 +12,7 @@ from sepkit.linalg import (
     tensor,
     trace_distance,
 )
-from sepkit.productopt import min_overlap_with_span
+from sepkit.productopt import min_overlap_with_span, upb_general_position
 from sepkit.states import (
     Ensemble,
     ProductEnsemble,
@@ -120,6 +120,25 @@ class TestTilesState:
         # no product vector is orthogonal to all five tiles vectors
         overlap = min_overlap_with_span(tiles_upb_vectors(), (3, 3), starts=24, seed=0)
         assert overlap > 1e-3
+
+    def test_general_position_certificate(self):
+        cert = upb_general_position(tiles_upb_vectors(), (3, 3))
+        assert cert["unextendible"] is True
+        assert cert["min_abs_det_a"] == pytest.approx(1 / np.sqrt(6))
+        assert cert["min_abs_det_b"] == pytest.approx(1 / np.sqrt(6))
+
+    def test_general_position_rejects_extendible_sets(self):
+        vs = tiles_upb_vectors()
+        e = np.eye(3)
+        # four vectors are too few: 4 <= dA + dB - 2
+        assert upb_general_position(vs[:4], (3, 3))["unextendible"] is False
+        # the first vector's A-part e_0 twice: three A-parts no longer span C^3
+        repeated = vs[:4] + [np.kron(e[0], e[2])]
+        assert upb_general_position(repeated, (3, 3))["unextendible"] is False
+        # an entangled vector has no local parts
+        entangled = vs[:4] + [(np.kron(e[0], e[0]) + np.kron(e[1], e[1])) / np.sqrt(2)]
+        assert upb_general_position(entangled, (3, 3))["max_second_schmidt"] > 0.5
+        assert upb_general_position(entangled, (3, 3))["unextendible"] is False
 
 
 class TestRandomDensity:

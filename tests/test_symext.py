@@ -7,8 +7,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sepkit.linalg import DensityMatrix, tensor
+import sepkit.symext
+from sepkit.linalg import DensityMatrix, partial_trace, tensor
+from sepkit.statespec import parse_state_spec
 from sepkit.states import (
+    DIM_CAP,
     max_entangled,
     maximally_mixed,
     random_density,
@@ -22,9 +25,11 @@ from sepkit.symext import (
     has_symmetric_extension,
     project_affine,
     project_psd,
+    schur_weyl_blocks,
     support_face,
     symmetrize_b,
     verify_extension,
+    young_diagrams,
 )
 
 DATA = Path(__file__).parent / "data"
@@ -278,6 +283,157 @@ class TestFeasibility:
         # not a LinAlgError (a ValueError too) from inside the loop
         with pytest.raises(ValueError, match="start holds NaN or Inf"):
             has_symmetric_extension(state, 2, start=start)
+
+    def test_rejects_misshapen_start_before_any_work(self, monkeypatch):
+        state, _ = random_separable((2, 2), 3, 1)
+        monkeypatch.setattr(sepkit.symext, "support_face", lambda problem: pytest.fail("work started"))
+        with pytest.raises(ValueError, match=r"shape \(3, 4\), expected \(8, 8\)"):
+            has_symmetric_extension(state, 2, start=np.zeros((3, 4)))
+
+    def test_start_symmetrized_before_use(self):
+        # a start that is not permutation-invariant: the dense search reached
+        # feasible after 249 iterations from it
+        state, _ = random_separable((2, 2), 4, 7)
+        res = has_symmetric_extension(state, 3, start=random_density(16, 3).mat)
+        assert (res.status, res.iterations) == ("feasible", 249)
+
+    def test_marginal_stop_reason(self):
+        # the dense search stopped here on the PSD iterate's marginal, iteration 3
+        state, _ = random_separable((2, 2), 4, 32)
+        res = has_symmetric_extension(state, 2, tol=1e-2)
+        assert (res.status, res.iterations, res.stop_reason) == ("feasible", 3, "marginal-within-tol")
+        assert verify_extension(res.witness_extension, state, 2)["marginal_residual"] <= 1e-2
+
+    def test_blocks_report_face(self):
+        rho = tiles_upb_state()
+        res = has_symmetric_extension(rho, 2)
+        assert res.blocks == ((18, 1, 3), (9, 1, 0))
+        face = support_face(ExtensionProblem(rho, 2))
+        assert sum(f * r for _, f, r in res.blocks) == face.shape[1]
+
+
+def random_invariant(rng, dims, k):
+    problem = ExtensionProblem(maximally_mixed(dims), k)
+    return problem, symmetrize_b(rand_op(rng, problem.total_dim), problem)
+
+
+def block_isometries(da, db, k):
+    """(V_λ = I_A ⊗ U_λ, f_λ) per Young diagram."""
+    sw = schur_weyl_blocks(db, k)
+    return [(np.kron(np.eye(da), u), f) for u, f in zip(sw.isometries, sw.multiplicities)]
+
+
+def regroup(x, d1, d2):
+    """X[(i,p),(i',q)] at [(i,i'),(p,q)]."""
+    return x.reshape(d1, d2, d1, d2).transpose(0, 2, 1, 3).reshape(d1 * d1, d2 * d2)
+
+
+class TestSchurWeylBlocks:
+    def test_dimensions_add_up_below_cap(self):
+        pairs = [(db, k) for db in range(2, 46) for k in range(2, 13) if 2 * db**k <= DIM_CAP]
+        assert len(pairs) > 50
+        for db, k in pairs:
+            assert sum(f * m for _, f, m in young_diagrams(db, k)) == db**k, (db, k)
+
+    @pytest.mark.parametrize(
+        "da, db, k, sizes, mults",
+        [(2, 3, 5, [42, 48, 30, 12, 6], [1, 4, 5, 6, 5]), (3, 3, 4, [45, 45, 18, 9], [1, 3, 2, 3])],
+    )
+    def test_deep_block_sizes(self, da, db, k, sizes, mults):
+        sw = schur_weyl_blocks(db, k)
+        assert [da * m for m in sw.irrep_dims] == sizes
+        assert list(sw.multiplicities) == mults
+
+    def test_large_db_below_dim_cap(self):
+        # dB = 18, k = 2 (n = 648): the lift is sparse, so nothing bounds dB but DIM_CAP
+        sw = schur_weyl_blocks(18, 2)
+        assert sw.irrep_dims == (171, 153)
+        assert sw.lift.vals.size < 18**2 * sum(m * m for m in sw.irrep_dims) / 1000
+        res = has_symmetric_extension(maximally_mixed((2, 18)), 2, max_iters=1)
+        assert (res.status, res.iterations) == ("feasible", 1)
+        assert res.blocks == ((342, 1, 342), (306, 1, 306))
+
+    def test_cached_read_only(self):
+        sw = schur_weyl_blocks(2, 3)
+        assert schur_weyl_blocks(2, 3) is sw
+        for a in (sw.weights, *sw.isometries, sw.lift.vals, sw.marginal.rows, sw.marginal.cols):
+            assert not a.flags.writeable
+
+    def test_cache_bounded_by_size(self, monkeypatch):
+        monkeypatch.setattr(sepkit.symext, "CACHE_ENTRIES", 2**3 * 3)
+        assert schur_weyl_blocks(2, 3) is not schur_weyl_blocks(2, 3)
+        assert schur_weyl_blocks(2, 2) is schur_weyl_blocks(2, 2)
+
+    @pytest.mark.parametrize("da, db, k", [(2, 2, 3), (2, 3, 3), (3, 3, 2), (2, 2, 5), (1, 3, 4)])
+    def test_blocks_carry_spectrum_and_rebuild(self, da, db, k):
+        rng = np.random.default_rng(20)
+        problem, x = random_invariant(rng, (da, db), k)
+        scale = np.linalg.norm(x)
+        pieces = [(v.conj().T @ x @ v, v, f) for v, f in block_isometries(da, db, k)]
+        spectra = np.sort(np.concatenate([np.repeat(np.linalg.eigvalsh(b), f) for b, _, f in pieces]))
+        assert np.max(np.abs(spectra - np.linalg.eigvalsh(x))) <= 1e-12 * scale
+        rebuilt = symmetrize_b(sum(f * v @ b @ v.conj().T for b, v, f in pieces), problem)
+        assert np.max(np.abs(rebuilt - x)) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("da, db, k", [(2, 2, 3), (2, 3, 3), (3, 3, 2), (2, 2, 5), (1, 3, 4)])
+    def test_lift_and_marginal(self, da, db, k):
+        rng = np.random.default_rng(21)
+        problem, x = random_invariant(rng, (da, db), k)
+        sw = schur_weyl_blocks(db, k)
+        pairs = block_isometries(da, db, k)
+        stack = lambda op: np.hstack([regroup(v.conj().T @ op @ v, da, v.shape[1] // da) for v, _ in pairs])
+        w = rand_op(rng, da * db)
+        lifted = symmetrize_b(tensor(w, np.eye(db ** (k - 1))), problem)
+        assert np.max(np.abs(sw.lift(regroup(w, da, db)) - stack(lifted))) <= 1e-12 * np.linalg.norm(w)
+        marginal = partial_trace(x, (da * db, db ** (k - 1)), "A")
+        assert np.max(np.abs(sw.marginal(stack(x)) - regroup(marginal, da, db))) <= 1e-12 * np.linalg.norm(x)
+        # the stacked norm weights each block by sqrt(f)
+        assert np.linalg.norm(stack(x) * sw.weights) == pytest.approx(np.linalg.norm(x), rel=1e-12)
+
+    @pytest.mark.parametrize("da, db, k", [(2, 2, 3), (2, 3, 3), (3, 3, 2), (2, 2, 5), (1, 3, 4)])
+    def test_affine_step_matches_dense_projection(self, da, db, k):
+        rng = np.random.default_rng(22)
+        problem = ExtensionProblem(random_density(da * db, 5, (da, db)), k)
+        x = symmetrize_b(rand_op(rng, problem.total_dim), problem)
+        sw = schur_weyl_blocks(db, k)
+        stacked = sepkit.symext._compress(x, sw, da)
+        defect = regroup(problem.base.mat, da, db) - sw.marginal(stacked)
+        step = stacked + sw.lift(defect @ sepkit.symext._gram_inverse(db, k))
+        dense = project_affine(x, problem)
+        assert np.max(np.abs(sepkit.symext._expand(step, sw, problem) - dense)) <= 1e-12 * np.linalg.norm(x)
+
+
+# Outcomes of the dense search these inputs were recorded from (status,
+# iterations, residual); the block search reaches them to rounding and names
+# the stop reason in the last column.
+RECORDED = [
+    ("maxent:3", 3, None, "infeasible-evidence", 0, 0.5555555555555564, "empty-face"),
+    ("sep:3:3:5:643261", 3, "warm", "feasible", 1, 2.509447000588869e-16, "psd-within-tol"),
+    ("sep:3:3:20:448415", 4, 60, "inconclusive", 60, 2.3526535263975485e-03, "max-iters"),
+    ("random:2:3:938409", 5, 10, "inconclusive", 10, 1.0398307160587839e-02, "max-iters"),
+    ("isotropic:3:0.2", 4, None, "feasible", 1, 0.0, "psd-within-tol"),
+    ("sep:2:2:3:331873", 3, None, "feasible", 38, 8.144443268225503e-08, "psd-within-tol"),
+    ("sep:2:3:4:362182", 2, None, "inconclusive", 5000, 2.7232406665118273e-04, "max-iters"),
+    ("tiles", 2, None, "feasible", 83, 8.837055534926892e-08, "psd-within-tol"),
+]
+
+
+@pytest.mark.parametrize("spec, k, option, status, iterations, residual, reason", RECORDED)
+def test_recorded_outcomes(spec, k, option, status, iterations, residual, reason):
+    parsed = parse_state_spec(spec)
+    if option == "warm":
+        res = has_symmetric_extension(parsed.state, k, start=extend_separable(parsed.ensemble, k))
+    elif option is not None:
+        res = has_symmetric_extension(parsed.state, k, max_iters=option)
+    else:
+        res = has_symmetric_extension(parsed.state, k)
+    assert (res.status, res.iterations, res.stop_reason) == (status, iterations, reason)
+    assert res.residual == pytest.approx(residual, rel=1e-6)
+    if status == "feasible":
+        check = verify_extension(res.witness_extension, parsed.state, k)
+        assert check["symmetry_residual"] <= 1e-7
+        assert check["marginal_residual"] <= 1e-7
+        assert check["psd_margin"] >= -1e-7
 
 
 class TestTilesTwoExtension:
