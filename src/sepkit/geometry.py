@@ -10,6 +10,7 @@ against all separable states).
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +29,9 @@ OVERLAP_SLACK = 1e-6
 
 def definetti_bound(dim: int, n: int, k: int) -> float:
     """Trace-distance bound 2 * dim * n / (n + k) for a k-extendible n-copy marginal."""
+    for name, value in (("dim", dim), ("n", n), ("k", k)):
+        if not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
     if dim < 1:
         raise ValueError("need dim >= 1")
     if n < 1:

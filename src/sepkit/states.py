@@ -96,6 +96,7 @@ class ProductEnsemble:
 
 def max_entangled_vector(d: int) -> np.ndarray:
     """Unit vector (1/sqrt(d)) sum_i |i,i> on a d x d bipartite space."""
+    check_total_dim(d * d)
     if d < 2:
         raise ValueError("maximally entangled state needs d >= 2")
     v = np.zeros(d * d, dtype=complex)
@@ -173,6 +174,7 @@ def random_density(d: int, seed, dims: Dims | None = None, cols: int | None = No
     induced measure with more-mixed samples (useful when rejection-sampling
     for rare spectral properties).
     """
+    check_total_dim(d)
     if d < 1:
         raise ValueError("dimension must be >= 1")
     if dims is None:
@@ -194,6 +196,7 @@ def _haar_ket(rng: np.random.Generator, d: int) -> np.ndarray:
 
 def random_separable(dims: Dims, k: int, seed) -> tuple[DensityMatrix, ProductEnsemble]:
     """Seeded mixture of k pure product states, with its certifying ensemble."""
+    check_total_dim(dims[0] * dims[1])
     if k < 1:
         raise ValueError("need at least one mixture member")
     rng = np.random.default_rng(seed)
@@ -226,4 +229,5 @@ def tensor_power_bipartite(rho: DensityMatrix, n: int) -> DensityMatrix:
 
 def maximally_mixed(dims: Dims) -> DensityMatrix:
     d = dims[0] * dims[1]
+    check_total_dim(d)
     return DensityMatrix(np.eye(d, dtype=complex) / d, dims)

@@ -36,9 +36,9 @@ the blocks, a block of multiplicity f counting f times in the norm; the affine
 step and the marginal pass through the B factor only, as products with the
 sparse matrix H_λ[(b,b'),(p,q)] = (1/k) Σ_j (U_λ† E_bb' on B_j U_λ)[p,q],
 which is nonzero only where the letter counts of p and q differ by b and b'.
-Only a returned witness
-is rebuilt as a dense dA·dB^k matrix. Iterates, stop tests and outcomes are
-those of the dense search; only rounding differs.
+The face S is cut per block too. Dense dA·dB^k operators appear only at the
+start, symmetrized and compressed, and in a returned witness. Iterates, stop
+tests and outcomes are those of the dense search; only rounding differs.
 """
 
 from __future__ import annotations
@@ -407,40 +407,36 @@ def project_face(x: np.ndarray, basis: np.ndarray) -> np.ndarray:
     return 0.5 * (y + y.conj().T)
 
 
-def _null_space(h: np.ndarray) -> np.ndarray | None:
-    """Orthonormal basis of the null space of PSD h, or None when no clear spectral gap bounds it."""
-    vals, vecs = np.linalg.eigh(h)
-    scale = vals[-1]
-    zero = vals <= SPECTRAL_ZERO * scale
-    if np.any(~zero & (vals < SPECTRAL_SUPPORT * scale)):
-        return None
-    return vecs[:, zero]
+def _null_spaces(hs: list[np.ndarray]) -> list[np.ndarray] | None:
+    """Orthonormal null-space bases of the PSD hs cut at their largest eigenvalue, or None when no clear gap bounds them."""
+    spectra = [np.linalg.eigh(h) for h in hs]
+    scale = max(vals[-1] for vals, _ in spectra)
+    bases = []
+    for vals, vecs in spectra:
+        zero = vals <= SPECTRAL_ZERO * scale
+        if np.any(~zero & (vals < SPECTRAL_SUPPORT * scale)):
+            return None
+        bases.append(vecs[:, zero])
+    return bases
 
 
-def support_face(problem: ExtensionProblem) -> np.ndarray | None:
-    """Orthonormal basis of S = ∩_j (supp rho)_{A B_j} ⊗ C^{dB^(k-1)}, the range of every PSD extension.
+def support_face(problem: ExtensionProblem, sw: SchurWeylBlocks) -> list[np.ndarray] | None:
+    """Per block, an orthonormal basis of S_λ, S = ⊕_λ S_λ ⊗ C^{f_λ} = ∩_j (supp rho)_{A B_j} ⊗ C^{dB^(k-1)}.
 
-    S is the null space of symmetrize_b((I - P_supp) ⊗ I) = (1/k) sum_j
-    (I - P_supp)_{A B_j} ⊗ I. Returns None (search the full cone) when rho has
-    full rank or when either spectral cut is ambiguous; a basis with no
-    columns means the face is {0} and rho has no k-copy extension.
+    S holds the range of every PSD extension. It is the null space of
+    symmetrize_b(P_ker ⊗ I), P_ker the projector onto rho's kernel, whose
+    blocks are sw.lift(P_ker regrouped). Returns None (search the full cone)
+    when rho has full rank or when either spectral cut is ambiguous; no
+    columns in every block means the face is {0} and rho has no extension.
     """
-    kernel = _null_space(problem.base.mat)
-    if kernel is None or kernel.shape[1] == 0:
+    da, db = problem.dim_a, problem.dim_b
+    kernel = _null_spaces([problem.base.mat])
+    if kernel is None or kernel[0].shape[1] == 0:
         return None
-    lift = tensor(kernel @ kernel.conj().T, np.eye(problem.dim_b ** (problem.copies - 1)))
-    return _null_space(symmetrize_b(lift, problem))
-
-
-def _block_faces(face: np.ndarray, sw: SchurWeylBlocks, da: int) -> list[np.ndarray]:
-    """Per block, the eigenvectors of V_λ† Π_S V_λ at eigenvalue 1: the face S in block coordinates."""
-    t = face.reshape(da, face.shape[0] // da, face.shape[1])
-    out = []
-    for u in sw.isometries:
-        c = (u.conj().T @ t).reshape(da * u.shape[1], -1)
-        vals, vecs = np.linalg.eigh(c @ c.conj().T)
-        out.append(vecs[:, vals > 0.5])
-    return out
+    lifted = sw.lift(_regroup(kernel[0] @ kernel[0].conj().T, da, db))
+    return _null_spaces(
+        [_ungroup(lifted[:, lo:hi], da, m) for lo, hi, m in zip(sw.offsets, sw.offsets[1:], sw.irrep_dims)]
+    )
 
 
 def verify_extension(x: np.ndarray, rho: DensityMatrix, k: int) -> dict[str, float]:
@@ -489,17 +485,18 @@ def has_symmetric_extension(
     if start is not None and np.shape(start) != (n, n):
         raise ValueError(f"start has shape {np.shape(start)}, expected {(n, n)}")
     sw = schur_weyl_blocks(db, k)
-    face = support_face(problem)
     sizes = [da * m for m in sw.irrep_dims]
-    if face is not None and face.shape[1] == 0:
-        blocks = tuple((size, f, 0) for size, f in zip(sizes, sw.multiplicities))
-        residual = float(np.linalg.norm(project_affine(np.zeros((n, n)), problem)))
-        return FeasibilityResult("infeasible-evidence", residual, 0, None, tol, "empty-face", blocks)
     # per block, the face basis, or None on the full cone
-    faces = [None] * len(sizes) if face is None else _block_faces(face, sw, da)
+    faces = support_face(problem, sw) or [None] * len(sizes)
     blocks = tuple(
         (size, f, size if b is None else b.shape[1]) for size, f, b in zip(sizes, sw.multiplicities, faces)
     )
+    rho_r = _regroup(rho.mat, da, db)
+    gram = _gram_inverse(db, k)
+    if not any(face_dim for _, _, face_dim in blocks):
+        # the distance from 0 to the affine set, whose point nearest 0 is the affine step from 0
+        residual = float(np.linalg.norm(sw.lift(rho_r @ gram) * sw.weights))
+        return FeasibilityResult("infeasible-evidence", residual, 0, None, tol, "empty-face", blocks)
     if start is None:
         rho_b = rho.marginal("B")
         x = rho.mat
@@ -509,9 +506,7 @@ def has_symmetric_extension(
         x = np.asarray(start, dtype=complex)
         x = 0.5 * (x + x.conj().T)
     x = _compress(symmetrize_b(x, problem), sw, da)
-    rho_r = _regroup(rho.mat, da, db)
     parts = [(slice(lo, hi), m, b) for lo, hi, m, b in zip(sw.offsets, sw.offsets[1:], sw.irrep_dims, faces)]
-    gram = _gram_inverse(db, k)
     defect = rho_r - sw.marginal(x)
     correction = np.zeros_like(x)
     window: deque[float] = deque(maxlen=PLATEAU_WINDOW)

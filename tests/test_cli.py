@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import sepkit.cli
+import sepkit.states
 from sepkit.cli import main
 from sepkit.criteria import ONE_SHOT_TESTS
 
@@ -224,6 +225,14 @@ class TestStateCommands:
         res = parse_report(out)["results"]
         assert res["trace"] == pytest.approx(1.0)
         assert res["ppt_margin"]["value"] >= -1e-10
+
+    @pytest.mark.parametrize("spec", ["maxent:5", "isotropic:5:0.5", "random:5:5:1", "sep:5:5:2:1"])
+    def test_show_rejects_state_above_dim_cap(self, capsys, monkeypatch, spec):
+        monkeypatch.setattr(sepkit.states, "DIM_CAP", 16)
+        code, out, err = run_cli(capsys, "state", "show", "--state", spec, "--json")
+        assert code == 1
+        assert out == ""
+        assert err == "error: total dimension 25 exceeds cap 16\n"
 
 
 class TestReportContract:

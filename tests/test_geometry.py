@@ -49,6 +49,10 @@ class TestDefinetti:
             definetti_bound(4, 0, 3)
         with pytest.raises(ValueError):
             definetti_bound(4, 1, -1)
+        for args in [(2, 1, float("nan")), (2, 1, float("inf")), (2, 1.5, 1), (2.0, 1, 1), (float("nan"), 1, 1)]:
+            with pytest.raises(ValueError, match="must be an integer"):
+                definetti_bound(*args)
+        assert definetti_bound(np.int64(4), 1, 99) == 0.08
 
     @pytest.mark.parametrize("dim", [0, -3])
     def test_rejects_dimension_below_one(self, dim):

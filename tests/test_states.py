@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import sepkit.states
 from sepkit.criteria import ONE_SHOT_TESTS
 from sepkit.linalg import (
     DensityMatrix,
@@ -13,6 +14,7 @@ from sepkit.linalg import (
     trace_distance,
 )
 from sepkit.productopt import min_overlap_with_span, upb_general_position
+from sepkit.statespec import parse_state_spec
 from sepkit.states import (
     Ensemble,
     ProductEnsemble,
@@ -203,6 +205,14 @@ class TestRandomSeparable:
         b, ens_b = random_separable((2, 3), 4, np.random.default_rng(seed))
         assert a.mat.tobytes() == b.mat.tobytes()
         assert ens_a.members[0][0] == ens_b.members[0][0]
+
+
+@pytest.mark.parametrize("spec", ["maxent:{d}", "isotropic:{d}:0.5", "random:{d}:{d}:1", "sep:{d}:{d}:2:1"])
+def test_constructors_respect_dim_cap(monkeypatch, spec):
+    monkeypatch.setattr(sepkit.states, "DIM_CAP", 16)
+    with pytest.raises(ValueError, match="total dimension 25 exceeds cap 16"):
+        parse_state_spec(spec.format(d=5))
+    assert parse_state_spec(spec.format(d=4)).state.dims == (4, 4)
 
 
 class TestTensorPower:

@@ -202,7 +202,8 @@ class TestFeasibility:
     def test_maxent_empty_face(self, k):
         rho = max_entangled(2)
         problem = ExtensionProblem(rho, k)
-        assert support_face(problem).shape == (problem.total_dim, 0)
+        sw = schur_weyl_blocks(2, k)
+        assert [b.shape[1] for b in support_face(problem, sw)] == [0] * len(sw.multiplicities)
         res = has_symmetric_extension(rho, k)
         assert res.status == "infeasible-evidence"
         assert res.iterations == 0
@@ -212,15 +213,24 @@ class TestFeasibility:
     def test_face_holds_explicit_extension(self):
         state, ens = random_separable((2, 3), 3, 4)
         problem = ExtensionProblem(state, 2)
-        v = support_face(problem)
+        faces = support_face(problem, schur_weyl_blocks(3, 2))
         ext = extend_separable(ens, 2)
-        assert np.linalg.norm(v @ (v.conj().T @ ext @ v) @ v.conj().T - ext) < 1e-12
+        for (v, _), b in zip(block_isometries(2, 3, 2), faces, strict=True):
+            blk = v.conj().T @ ext @ v
+            assert np.linalg.norm(b @ (b.conj().T @ blk @ b) @ b.conj().T - blk) < 1e-12
 
     def test_full_rank_or_ambiguous_spectrum_keeps_full_cone(self):
-        assert support_face(ExtensionProblem(random_separable((2, 2), 4, 7)[0], 2)) is None
+        full_rank = ExtensionProblem(random_separable((2, 2), 4, 7)[0], 2)
+        assert support_face(full_rank, schur_weyl_blocks(2, 2)) is None
         # an eigenvalue of 1e-8 lies between zero and support: no cut is made
         rho = DensityMatrix((1 - 9e-8) * tiles_upb_state().mat + 1e-8 * np.eye(9), (3, 3))
-        assert support_face(ExtensionProblem(rho, 2)) is None
+        assert support_face(ExtensionProblem(rho, 2), schur_weyl_blocks(3, 2)) is None
+
+    def test_blocks_cut_at_one_scale(self):
+        # the blocks of one operator are cut at its largest eigenvalue, not each at its own
+        big, small, tiny = np.diag([1.0, 0.0]), np.diag([1e-8, 0.0]), np.diag([1e-12, 0.0])
+        assert sepkit.symext._null_spaces([big, small]) is None  # 1e-8 lies between zero and support
+        assert [b.shape[1] for b in sepkit.symext._null_spaces([big, tiny])] == [1, 2]
 
     def test_maxent_two_copies_infeasible(self):
         res = has_symmetric_extension(max_entangled(2), 2)
@@ -286,7 +296,7 @@ class TestFeasibility:
 
     def test_rejects_misshapen_start_before_any_work(self, monkeypatch):
         state, _ = random_separable((2, 2), 3, 1)
-        monkeypatch.setattr(sepkit.symext, "support_face", lambda problem: pytest.fail("work started"))
+        monkeypatch.setattr(sepkit.symext, "support_face", lambda problem, sw: pytest.fail("work started"))
         with pytest.raises(ValueError, match=r"shape \(3, 4\), expected \(8, 8\)"):
             has_symmetric_extension(state, 2, start=np.zeros((3, 4)))
 
@@ -308,8 +318,32 @@ class TestFeasibility:
         rho = tiles_upb_state()
         res = has_symmetric_extension(rho, 2)
         assert res.blocks == ((18, 1, 3), (9, 1, 0))
-        face = support_face(ExtensionProblem(rho, 2))
-        assert sum(f * r for _, f, r in res.blocks) == face.shape[1]
+        problem = ExtensionProblem(rho, 2)
+        faces = support_face(problem, schur_weyl_blocks(3, 2))
+        assert [b.shape[1] for b in faces] == [r for _, _, r in res.blocks]
+        # the dense face: the null space of symmetrize_b(P_ker ⊗ I)
+        vals, vecs = np.linalg.eigh(rho.mat)
+        kernel = vecs[:, vals < 1e-10]
+        lifted = symmetrize_b(tensor(kernel @ kernel.conj().T, np.eye(3)), problem)
+        assert sum(f * r for _, f, r in res.blocks) == np.sum(np.linalg.eigvalsh(lifted) < 1e-10)
+
+    @pytest.mark.parametrize("spec, k", [("tiles", 2), ("maxent:2", 5), ("sep:2:3:3:4", 3)])
+    def test_no_decomposition_above_block_size(self, monkeypatch, spec, k):
+        # n = 27, 64 and 54: the face and every projection are cut per block
+        rho = parse_state_spec(spec).state
+        da, db = rho.dims
+        # built here, before recording: building the block data runs its own eigh per sector
+        sw = schur_weyl_blocks(db, k)
+        sizes = []
+        for name in ("eigh", "eigvalsh"):
+            def recorded(a, *args, _decompose=getattr(np.linalg, name), **kwargs):
+                sizes.append(np.shape(a)[-1])
+                return _decompose(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, recorded)
+        has_symmetric_extension(rho, k)
+        assert sizes
+        assert max(sizes) <= max(da * db, da * max(sw.irrep_dims))
 
 
 def random_invariant(rng, dims, k):
