@@ -14,6 +14,7 @@ import argparse
 import json
 import sys
 import time
+from functools import lru_cache
 
 import numpy as np
 
@@ -249,7 +250,9 @@ def _positive_int(text: str) -> int:
     return value
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(prog="sepkit", description=__doc__)
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="suppress the stderr summary")
@@ -350,6 +353,28 @@ def _summary_lines(report: dict) -> list[str]:
     return lines
 
 
+_ENCODE = json.JSONEncoder(allow_nan=False).encode
+_CONTAINERS = (dict, list, tuple)
+
+
+def to_json(obj, indent: str = "") -> str:
+    """JSON text of obj, indented by 2 spaces except that a list of scalars (a matrix row) stays on one line.
+
+    Scalars and those lists go through the C encoder, so the text parses to
+    what json.dumps(obj, indent=2) parses to; a NaN or infinity raises ValueError.
+    """
+    inner = indent + "  "
+    if isinstance(obj, dict) and obj:
+        items = [f"{inner}{_ENCODE(str(k))}: {to_json(v, inner)}" for k, v in obj.items()]
+    # scan the distinct item types, not every item: a matrix row holds only floats
+    elif isinstance(obj, (list, tuple)) and any(issubclass(t, _CONTAINERS) for t in set(map(type, obj))):
+        items = [inner + to_json(v, inner) for v in obj]
+    else:
+        return _ENCODE(obj)
+    brackets = "{}" if isinstance(obj, dict) else "[]"
+    return brackets[0] + "\n" + ",\n".join(items) + "\n" + indent + brackets[1]
+
+
 def run(args: argparse.Namespace) -> int:
     config = {
         k: v
@@ -371,7 +396,7 @@ def run(args: argparse.Namespace) -> int:
                 "invariant_violation": violated,
             }
         # a NaN or infinity raises ValueError here instead of reaching the report
-        text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
+        text = to_json(payload) + "\n"
         if args.out:
             with open(args.out, "w") as fh:
                 fh.write(text)

@@ -37,8 +37,13 @@ step and the marginal pass through the B factor only, as products with the
 sparse matrix H_λ[(b,b'),(p,q)] = (1/k) Σ_j (U_λ† E_bb' on B_j U_λ)[p,q],
 which is nonzero only where the letter counts of p and q differ by b and b'.
 The face S is cut per block too. Dense dA·dB^k operators appear only at the
-start, symmetrized and compressed, and in a returned witness. Iterates, stop
-tests and outcomes are those of the dense search; only rounding differs.
+start and in a returned witness. The default start symmetrize_b(rho ⊗
+rho_B^{⊗(k-1)}) is built as the mean of the product's k swaps of B_1 with
+B_j; a given start goes through symmetrize_b. Either is compressed to blocks
+once. A witness is expanded from its blocks and symmetrized, since reports
+carry it dense. The stop check takes block spectra only until one block falls
+below -tol. Iterates, stop tests and outcomes are those of the dense search;
+only rounding differs.
 """
 
 from __future__ import annotations
@@ -333,19 +338,38 @@ def symmetrize_b(x: np.ndarray, problem: ExtensionProblem) -> np.ndarray:
     n = problem.total_dim
     if x.shape != (n, n):
         raise ValueError(f"operator shape {x.shape} does not match problem dim {n}")
+    acc = x
+    for m in range(2, problem.copies + 1):
+        terms = acc.copy()
+        for j in range(1, m):
+            terms += _swap_b(acc, problem, j, m)
+        acc = terms / m
+    return acc
+
+
+def _swap_b(x: np.ndarray, problem: ExtensionProblem, i: int, j: int) -> np.ndarray:
+    """P X P for P the swap of the factors B_i and B_j (1-based)."""
     k = problem.copies
     # row factors A, B_1..B_k on axes 0..k, column factors on axes k+1..2k+1
     shape = [problem.dim_a] + [problem.dim_b] * k
-    acc = x
-    for m in range(2, k + 1):
-        t = acc.reshape(shape + shape)
-        terms = acc.copy()
-        for j in range(1, m):
-            axes = list(range(2 * k + 2))
-            axes[j], axes[m], axes[k + 1 + j], axes[k + 1 + m] = m, j, k + 1 + m, k + 1 + j
-            terms += t.transpose(axes).reshape(n, n)
-        acc = terms / m
-    return acc
+    axes = list(range(2 * k + 2))
+    axes[i], axes[j], axes[k + 1 + i], axes[k + 1 + j] = j, i, k + 1 + j, k + 1 + i
+    return x.reshape(shape + shape).transpose(axes).reshape(x.shape)
+
+
+def _product_start(problem: ExtensionProblem) -> np.ndarray:
+    """symmetrize_b(rho ⊗ rho_B^{⊗(k-1)}) as (1/k) Σ_j rho on A:B_j ⊗ rho_B on the other copies.
+
+    The product's orbit under the B permutations is its swaps of B_1 with B_j,
+    so this takes k-1 transposes where symmetrize_b takes k(k-1)/2.
+    """
+    x, rho_b = problem.base.mat, problem.base.marginal("B")
+    for _ in range(problem.copies - 1):
+        x = tensor(x, rho_b)
+    acc = x.copy()
+    for j in range(2, problem.copies + 1):
+        acc += _swap_b(x, problem, 1, j)
+    return acc / problem.copies
 
 
 def extend_separable(ens: ProductEnsemble, k: int) -> np.ndarray:
@@ -498,14 +522,11 @@ def has_symmetric_extension(
         residual = float(np.linalg.norm(sw.lift(rho_r @ gram) * sw.weights))
         return FeasibilityResult("infeasible-evidence", residual, 0, None, tol, "empty-face", blocks)
     if start is None:
-        rho_b = rho.marginal("B")
-        x = rho.mat
-        for _ in range(k - 1):
-            x = tensor(x, rho_b)
+        x = _product_start(problem)
     else:
         x = np.asarray(start, dtype=complex)
-        x = 0.5 * (x + x.conj().T)
-    x = _compress(symmetrize_b(x, problem), sw, da)
+        x = symmetrize_b(0.5 * (x + x.conj().T), problem)
+    x = _compress(x, sw, da)
     parts = [(slice(lo, hi), m, b) for lo, hi, m, b in zip(sw.offsets, sw.offsets[1:], sw.irrep_dims, faces)]
     defect = rho_r - sw.marginal(x)
     correction = np.zeros_like(x)
@@ -516,7 +537,9 @@ def has_symmetric_extension(
         x = np.zeros_like(z)
         y_min = np.inf
         for cols, m, basis in parts:
-            y_min = min(y_min, np.linalg.eigvalsh(_ungroup(y[:, cols], da, m))[0])
+            # once a block is below -tol this iteration cannot stop as feasible
+            if y_min >= -tol:
+                y_min = min(y_min, np.linalg.eigvalsh(_ungroup(y[:, cols], da, m))[0])
             # a block whose face is {0} stays 0
             if basis is None or basis.shape[1]:
                 z_blk = _ungroup(z[:, cols], da, m)

@@ -8,7 +8,7 @@ import pytest
 
 import sepkit.cli
 import sepkit.states
-from sepkit.cli import main
+from sepkit.cli import main, to_json
 from sepkit.criteria import ONE_SHOT_TESTS
 
 
@@ -375,3 +375,105 @@ class TestReportContract:
         assert code == 1
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1
+
+
+def scalar_lists(obj):
+    """Every list in obj that holds no list or dict."""
+    if isinstance(obj, dict):
+        return [lst for v in obj.values() for lst in scalar_lists(v)]
+    if isinstance(obj, list):
+        nested = [lst for v in obj for lst in scalar_lists(v)]
+        return nested if any(isinstance(v, (dict, list)) for v in obj) else [obj]
+    return []
+
+
+WRITER_PAYLOADS = [
+    {"a": 1, "b": {"c": "d", "e": {"f": None, "g": True}}, "h": False},
+    {"rows": [[-0.0, 5e-324, 1e308], [1.5, -2.0, 0.0]], "one": [0.1], "none": []},
+    {"points": [{"n": 10, "x": [1, 2]}, {"n": 20, "x": []}], "empty": {}, "also": [[], {}]},
+    {"mixed": [1, "two", [3.0, -0.0], {"four": [4]}], "tuple": (1, 2)},
+    {"état": "naïve – ∞", "ключ": ["ü", "日本"]},
+    [{"a": 1}, [1.0, 2.0], 3],
+    [],
+    {},
+    -0.0,
+]
+
+
+class TestReportWriter:
+    @pytest.mark.parametrize("payload", WRITER_PAYLOADS)
+    def test_round_trip(self, payload):
+        text = to_json(payload)
+        assert json.loads(text) == json.loads(json.dumps(payload, indent=2))
+        # compact re-encoding compares float reprs, -0.0 included
+        assert json.dumps(json.loads(text)) == json.dumps(payload)
+        assert text.isascii()
+
+    @pytest.mark.parametrize("payload", WRITER_PAYLOADS)
+    def test_number_lists_on_one_line(self, payload):
+        lines = to_json(payload).splitlines()
+        for lst in scalar_lists(json.loads(json.dumps(payload))):
+            assert any(json.dumps(lst) in line for line in lines), lst
+
+    def test_dicts_indented_like_json_dumps(self):
+        payload = {"a": 1, "b": {"c": "d", "e": {"f": None}}, "g": {}, "h": "é"}
+        assert to_json(payload) == json.dumps(payload, indent=2)
+        assert to_json([{"a": [1, 2]}], "  ") == '[\n    {\n      "a": [1, 2]\n    }\n  ]'
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_raises(self, bad):
+        for payload in (bad, {"a": {"b": bad}}, {"rows": [[1.0, bad]]}, [{"x": [bad]}]):
+            with pytest.raises(ValueError):
+                to_json(payload)
+
+    def test_cli_report_rows_on_one_line(self, capsys):
+        code, out, _ = run_cli(capsys, "symext", "--state", "sep:2:2:3:7", "--k", "2", "--json")
+        assert code == 0
+        report = parse_report(out)
+        witness = report["results"]["witness_extension"]
+        lines = out.splitlines()
+        for row in witness["re"] + witness["im"]:
+            assert any(json.dumps(row) in line for line in lines)
+        assert len(lines) < 100
+        assert strip_timestamp(out).count('"timestamp": "-"') == 1
+
+
+# calls in a row that exercise different subcommands and flags; the third and
+# fifth omit flags that an earlier call set
+PARSER_SEQUENCE = [
+    ["criteria", "--state", "sep:2:2:2:3", "--only", "ppt,crossnorm", "--seed", "9", "--json"],
+    ["tomo", "accept", "--target", "maxent:2", "--source", "isotropic:2:0", "--n", "15",
+     "--eps", "0.75", "--trials", "20", "--seed", "3"],
+    ["criteria", "--state", "sep:2:2:2:3", "--only", "ppt"],
+    ["symext", "--state", "sep:2:2:1:4", "--k", "2", "--tol", "1e-5", "--json"],
+    ["symext", "--state", "sep:2:2:1:4", "--k", "2"],
+    ["geometry", "definetti", "--dim", "4", "--n", "1", "--k", "9"],
+    ["state", "show", "--state", "maxent:2", "--json"],
+]
+
+
+class TestParserCache:
+    def test_built_once(self):
+        assert sepkit.cli.build_parser() is sepkit.cli.build_parser()
+
+    def test_reports_match_fresh_parser(self, capsys):
+        fresh = []
+        for argv in PARSER_SEQUENCE:
+            sepkit.cli.build_parser.cache_clear()
+            fresh.append(run_cli(capsys, *argv))
+        # a usage error between the calls leaves the shared parser as it was
+        assert run_cli(capsys, "criteria", "--bogus")[0] == 1
+        cached = [run_cli(capsys, *argv) for argv in PARSER_SEQUENCE]
+        assert sepkit.cli.build_parser.cache_info().misses == 1
+        for (code1, out1, err1), (code2, out2, err2) in zip(fresh, cached):
+            assert code1 == code2 == 0
+            assert strip_timestamp(out1) == strip_timestamp(out2)
+            assert err1 == err2
+
+    def test_flags_do_not_leak_into_the_next_call(self, capsys):
+        configs = [parse_report(run_cli(capsys, *argv)[1])["config"] for argv in PARSER_SEQUENCE]
+        assert (configs[0]["seed"], configs[0]["json"], configs[0]["only"]) == (9, True, "ppt,crossnorm")
+        assert (configs[2]["seed"], configs[2]["json"], configs[2]["only"]) == (0, False, "ppt")
+        assert (configs[3]["tol"], configs[4]["tol"]) == (1e-5, 1e-7)
+        assert configs[4]["json"] is False
+        assert all(c["out"] is None for c in configs)

@@ -346,6 +346,67 @@ class TestFeasibility:
         assert max(sizes) <= max(da * db, da * max(sw.irrep_dims))
 
 
+def singular_b_state(da, db, seed):
+    """A random state whose B marginal has rank db - 1."""
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((da, db, 3)) + 1j * rng.standard_normal((da, db, 3))
+    g[:, -1] = 0
+    g = g.reshape(da * db, 3)
+    m = g @ g.conj().T
+    return DensityMatrix(m / np.trace(m).real, (da, db))
+
+
+class TestProductStart:
+    """The default start is symmetrize_b(rho ⊗ rho_B^{⊗(k-1)}), built from k-1 swaps."""
+
+    @pytest.mark.parametrize(
+        "dims, k", [((2, 2), 2), ((2, 2), 3), ((2, 2), 4), ((2, 2), 5), ((2, 3), 5), ((3, 3), 4)]
+    )
+    @pytest.mark.parametrize("singular", [False, True])
+    def test_blocks_match_symmetrized_product(self, dims, k, singular):
+        rho = singular_b_state(*dims, 5) if singular else random_density(dims[0] * dims[1], 5, dims)
+        assert (np.linalg.matrix_rank(rho.marginal("B")) < dims[1]) == singular
+        problem = ExtensionProblem(rho, k)
+        product = rho.mat
+        for _ in range(k - 1):
+            product = tensor(product, rho.marginal("B"))
+        sw = schur_weyl_blocks(dims[1], k)
+        expected = sepkit.symext._compress(symmetrize_b(product, problem), sw, dims[0])
+        got = sepkit.symext._compress(sepkit.symext._product_start(problem), sw, dims[0])
+        assert np.max(np.abs(got - expected)) <= 1e-14
+
+    @pytest.mark.parametrize("dims, k", [((2, 2), 3), ((2, 3), 3)])
+    def test_search_starts_from_symmetrized_product(self, dims, k):
+        rho = random_density(dims[0] * dims[1], 6, dims)
+        product = rho.mat
+        for _ in range(k - 1):
+            product = tensor(product, rho.marginal("B"))
+        default = has_symmetric_extension(rho, k, max_iters=3)
+        given = has_symmetric_extension(rho, k, max_iters=3, start=product)
+        assert (default.status, default.iterations) == (given.status, given.iterations)
+        assert default.residual == pytest.approx(given.residual, rel=1e-9)
+
+
+def test_stop_check_ends_at_first_failing_block(monkeypatch):
+    # every iterate of this search has a block below -tol, so the feasibility
+    # check needs one spectrum per iteration, not one per block (4 blocks)
+    spec = "sep:3:3:20:448415"
+    rho = parse_state_spec(spec).state
+    schur_weyl_blocks(3, 4)
+    calls = []
+
+    def counted(a, *args, _eigvalsh=np.linalg.eigvalsh, **kwargs):
+        calls.append(np.shape(a))
+        return _eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    res = has_symmetric_extension(rho, 4, max_iters=60)
+    assert len(calls) < 60 * 4
+    # the outcome recorded before the check was cut short
+    assert (res.status, res.iterations, res.stop_reason) == ("inconclusive", 60, "max-iters")
+    assert res.residual == pytest.approx(2.3526535263975485e-03, rel=1e-6)
+
+
 def random_invariant(rng, dims, k):
     problem = ExtensionProblem(maximally_mixed(dims), k)
     return problem, symmetrize_b(rand_op(rng, problem.total_dim), problem)
