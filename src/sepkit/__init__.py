@@ -3,11 +3,13 @@
 The library is organized around a small set of layers:
 
 - linalg: dense complex matrices, structural maps (tensor, partial trace,
-  partial transpose, realignment), the one PSD rule (psd_floor), and the
-  DensityMatrix carrier, the single state validator, which keeps the
-  ascending spectrum its PSD check computes as ``eigenvalues``.
+  partial transpose, realignment), the one PSD rule (psd_floor), the single
+  state validator (check_density, for one matrix or a stack), and the
+  DensityMatrix carrier, which runs it and keeps the ascending spectrum its
+  PSD check computes as ``eigenvalues``.
 - states: constructors and seeded samplers (maximally entangled, tiles UPB,
-  random separable mixtures, bipartite tensor powers).
+  random separable mixtures held as stacked product ensembles, bipartite
+  tensor powers).
 - criteria: one-shot separability tests (PPT, reduction, entropic,
   majorization, cross norm) returning quantitative Verdicts.
 - symext: the symmetric-extension criterion as convex feasibility solved by

@@ -13,6 +13,7 @@ factorization, or constructive extension tensoring).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -113,12 +114,20 @@ def _closure_sub_assertions(
 
 def closure_check(criterion: str, rho: DensityMatrix, sigma: DensityMatrix) -> Verdict:
     """Run one criterion on the tensor product of two states that pass it."""
+    if criterion not in ONE_SHOT_TESTS:
+        raise ValueError(f"unknown criterion {criterion!r}")
     test = ONE_SHOT_TESTS[criterion]
-    v_rho, v_sigma = test(rho), test(sigma)
+    return _closure_pair(criterion, rho, test(rho), sigma, test(sigma))
+
+
+def _closure_pair(
+    criterion: str, rho: DensityMatrix, v_rho: Verdict, sigma: DensityMatrix, v_sigma: Verdict
+) -> Verdict:
+    """closure_check given the verdicts the criterion already gave on rho and sigma."""
     if not (v_rho.passed and v_sigma.passed):
         raise ValueError(f"both inputs must pass {criterion} before a closure check")
     prod = bipartite_product(rho, sigma)
-    verdict = test(prod)
+    verdict = ONE_SHOT_TESTS[criterion](prod)
     details = dict(verdict.details)
     details["inputs_margins"] = (v_rho.margin, v_sigma.margin)
     details["sub_assertions"] = _closure_sub_assertions(criterion, rho, sigma, prod)
@@ -166,8 +175,10 @@ class SweepReport:
     margins: tuple[float, ...]
 
 
-def _sample_passing_state(criterion: str, dims, rng: np.random.Generator) -> DensityMatrix:
-    """A state passing the criterion: random separable, or a filtered PPT sample."""
+def _sample_passing_state(
+    criterion: str, dims, rng: np.random.Generator
+) -> tuple[DensityMatrix, Verdict]:
+    """A state passing the criterion, with its verdict: random separable, or a filtered PPT sample."""
     test = ONE_SHOT_TESTS[criterion]
     use_random = rng.random() < 0.5
     for _ in range(64):
@@ -175,8 +186,9 @@ def _sample_passing_state(criterion: str, dims, rng: np.random.Generator) -> Den
             cand = random_density(dims[0] * dims[1], int(rng.integers(2**31)), dims)
         else:
             cand, _ = random_separable(dims, int(rng.integers(1, 7)), int(rng.integers(2**31)))
-        if test(cand).passed:
-            return cand
+        verdict = test(cand)
+        if verdict.passed:
+            return cand, verdict
         use_random = False
     raise RuntimeError(f"could not sample a state passing {criterion}")
 
@@ -188,6 +200,10 @@ def closure_sweep(criterion: str, trials: int, seed) -> SweepReport:
     For criterion='symext' the check is the constructive witness composition
     on separable pairs.
     """
+    if criterion not in ONE_SHOT_TESTS and criterion != "symext":
+        raise ValueError(f"unknown criterion {criterion!r}")
+    if not isinstance(trials, Integral):
+        raise ValueError(f"trials must be an integer, got {trials!r}")
     if trials < 1:
         raise ValueError("need at least one trial")
     rng = np.random.default_rng(seed)
@@ -205,9 +221,9 @@ def closure_sweep(criterion: str, trials: int, seed) -> SweepReport:
             res = symext_closure_check(ens_rho, ens_sigma, SWEEP_SYMEXT_K)
             margin, violated, sub_ok = float(res["psd_margin"]), not res["ok"], True
         else:
-            rho = _sample_passing_state(criterion, SWEEP_DIMS, rng)
-            sigma = _sample_passing_state(criterion, SWEEP_DIMS, rng)
-            verdict = closure_check(criterion, rho, sigma)
+            rho, v_rho = _sample_passing_state(criterion, SWEEP_DIMS, rng)
+            sigma, v_sigma = _sample_passing_state(criterion, SWEEP_DIMS, rng)
+            verdict = _closure_pair(criterion, rho, v_rho, sigma, v_sigma)
             margin, sub_ok = verdict.margin, verdict.details["sub_assertions"]["ok"]
             violated = margin < -VIOLATION_TOL
         margins.append(margin)

@@ -40,8 +40,14 @@ def is_hermitian(m: np.ndarray) -> bool:
 
 
 def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product; entry (i*db+k, j*dl+l) = a[i,j] * b[k,l]."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
+    """Kronecker product; entry (i*db+k, j*dl+l) = a[i,j] * b[k,l].
+
+    The same elementwise multiply np.kron runs, so bit-equal to it.
+    """
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    (ra, ca), (rb, cb) = a.shape, b.shape
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(ra * rb, ca * cb)
 
 
 def permute_systems(m: np.ndarray, dims: list[int], perm: list[int]) -> np.ndarray:
@@ -119,7 +125,32 @@ def psd_floor(vals: np.ndarray) -> tuple[float, float]:
     The one PSD rule used project-wide: a Hermitian operator is accepted as
     PSD when its smallest eigenvalue is >= -tol, tol = PSD_REL_TOL * max|eigenvalue|.
     """
-    return float(vals[0]), PSD_REL_TOL * float(np.max(np.abs(vals)))
+    return float(vals[0]), PSD_REL_TOL * float(np.abs(vals).max())
+
+
+def check_density(m: np.ndarray) -> np.ndarray:
+    """Apply the density-matrix rules to one matrix or a stack (..., d, d).
+
+    Hermitian within HERM_TOL, unit trace within TRACE_TOL and PSD by
+    ``psd_floor``, each written to fail on NaN and Inf entries. Returns the
+    ascending spectra the PSD check computed.
+    """
+    # Inf - Inf in the Hermiticity check is NaN, which fails it without a warning
+    with np.errstate(invalid="ignore"):
+        herm_ok = np.abs(m - m.conj().mT).max(axis=(-2, -1)) <= HERM_TOL
+    tr = m.trace(0, -2, -1)
+    tr_ok = abs(tr - 1.0) <= TRACE_TOL
+    if not (herm_ok & tr_ok).all():
+        if not herm_ok.all():
+            raise ValueError("density matrix is not Hermitian within 1e-10")
+        bad = complex(np.ravel(tr)[~np.ravel(tr_ok)][0])
+        raise ValueError(f"density matrix trace {bad} is not 1 within 1e-10")
+    vals = np.linalg.eigvalsh(m)
+    for spectrum in vals.reshape(-1, vals.shape[-1]):
+        low, tol = psd_floor(spectrum)
+        if not low >= -tol:
+            raise ValueError(f"density matrix has negative eigenvalue {low:.3e}")
+    return vals
 
 
 def psd_margin(m: np.ndarray) -> float:
@@ -141,22 +172,10 @@ class DensityMatrix:
     eigenvalues: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        m = _as_complex(self.mat).copy()
+        m = np.array(self.mat, dtype=complex, order="C")
         dims = (int(self.dims[0]), int(self.dims[1]))
         _check_square(m, dims)
-        # each check is written to fail on NaN and Inf entries; Inf - Inf in
-        # the Hermiticity check is NaN, which fails it without a warning
-        with np.errstate(invalid="ignore"):
-            herm_err = float(np.max(np.abs(m - m.conj().T)))
-        if not herm_err <= HERM_TOL:
-            raise ValueError("density matrix is not Hermitian within 1e-10")
-        tr = complex(np.trace(m))
-        if not abs(tr - 1.0) <= TRACE_TOL:
-            raise ValueError(f"density matrix trace {tr} is not 1 within 1e-10")
-        vals = np.linalg.eigvalsh(m)
-        low, tol = psd_floor(vals)
-        if not low >= -tol:
-            raise ValueError(f"density matrix has negative eigenvalue {low:.3e}")
+        vals = check_density(m)
         m.setflags(write=False)
         vals.setflags(write=False)
         object.__setattr__(self, "mat", m)

@@ -1,12 +1,16 @@
 """Constructors and seeded samplers for the state families used throughout.
 
 All samplers are pure functions of their integer seed: the same seed yields
-a bit-identical result.
+a bit-identical result. A ``ProductEnsemble`` holds its k product members as
+stacks: weights (k,), A factors (k, dA, dA) and B factors (k, dB, dB), each
+stack checked by one batched density-matrix validation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from numbers import Integral
 
 import numpy as np
 
@@ -15,6 +19,7 @@ import numpy as np
 from .linalg import (  # noqa: F401
     Dims,
     DensityMatrix,
+    check_density,
     partial_trace,
     permute_systems,
     tensor,
@@ -30,7 +35,14 @@ def check_total_dim(total: int) -> None:
         raise ValueError(f"total dimension {total} exceeds cap {DIM_CAP}")
 
 
-def _check_weights(weights: list[float]) -> None:
+def _check_count(name: str, value) -> int:
+    """Reject a size or count that is not a positive integer, naming the argument."""
+    if not isinstance(value, Integral) or value < 1:
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+    return int(value)
+
+
+def _check_weights(weights: list[float] | np.ndarray) -> None:
     # written to fail on NaN weights
     w = np.array(weights, dtype=float)
     if not np.all(w >= -1e-12):
@@ -62,35 +74,52 @@ class Ensemble:
 
 @dataclass(frozen=True, eq=False)
 class ProductEnsemble:
-    """Mixture of explicit product states (weight, rho_a, rho_b); separable by construction."""
+    """Mixture sum_i weights[i] a[i] ⊗ b[i] of product states; separable by construction.
 
-    members: tuple[tuple[float, np.ndarray, np.ndarray], ...]
-    dims: Dims
+    ``weights`` is (k,), ``a`` is (k, dA, dA) and ``b`` is (k, dB, dB). Each
+    factor must be a density matrix; read-only copies of the stacks are kept.
+    """
+
+    weights: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
 
     def __post_init__(self) -> None:
-        if not self.members:
+        w = np.array(self.weights, dtype=float)
+        if w.ndim != 1 or not w.size:
             raise ValueError("ensemble needs at least one member")
-        da, db = self.dims
-        # each factor is validated as a state; its read-only copy is kept
-        checked = tuple(
-            (float(w), DensityMatrix(ra, (1, da)).mat, DensityMatrix(rb, (1, db)).mat)
-            for w, ra, rb in self.members
-        )
-        _check_weights([w for w, _, _ in checked])
-        object.__setattr__(self, "members", checked)
-        object.__setattr__(self, "dims", (int(da), int(db)))
+        for name in ("a", "b"):
+            f = np.array(getattr(self, name), dtype=complex, order="C")
+            if f.ndim != 3 or len(f) != len(w) or not f.shape[1] == f.shape[2] >= 1:
+                raise ValueError(f"{name} must stack {len(w)} square factors, got shape {f.shape}")
+            try:
+                check_density(f)
+            except ValueError as err:
+                raise ValueError(f"factor stack {name}: {err}") from None
+            f.setflags(write=False)
+            object.__setattr__(self, name, f)
+        _check_weights(w)
+        w.setflags(write=False)
+        object.__setattr__(self, "weights", w)
+
+    @property
+    def dims(self) -> Dims:
+        return self.a.shape[1], self.b.shape[1]
 
     def state(self) -> DensityMatrix:
         """The mixture sum_i w_i rho_a_i ⊗ rho_b_i this ensemble certifies."""
         da, db = self.dims
         acc = np.zeros((da * db, da * db), dtype=complex)
-        for w, ra, rb in self.members:
+        for w, ra, rb in zip(self.weights, self.a, self.b):
             acc += w * tensor(ra, rb)
         return DensityMatrix(acc, self.dims)
 
     def to_ensemble(self) -> Ensemble:
         return Ensemble(
-            tuple((w, DensityMatrix(tensor(ra, rb), self.dims)) for w, ra, rb in self.members)
+            tuple(
+                (w, DensityMatrix(tensor(ra, rb), self.dims))
+                for w, ra, rb in zip(self.weights, self.a, self.b)
+            )
         )
 
 
@@ -105,7 +134,14 @@ def max_entangled_vector(d: int) -> np.ndarray:
 
 
 def max_entangled(d: int) -> DensityMatrix:
-    """The maximally entangled state (1/d) sum_{i,j} |i,i><j,j|."""
+    """The maximally entangled state (1/d) sum_{i,j} |i,i><j,j|, built once per d."""
+    check_total_dim(d * d)
+    return _max_entangled(d)
+
+
+# bounded: at the dimension cap one cached state holds a 4096 x 4096 matrix
+@lru_cache(maxsize=4)
+def _max_entangled(d: int) -> DensityMatrix:
     return DensityMatrix.from_vector(max_entangled_vector(d), (d, d))
 
 
@@ -195,18 +231,25 @@ def _haar_ket(rng: np.random.Generator, d: int) -> np.ndarray:
 
 
 def random_separable(dims: Dims, k: int, seed) -> tuple[DensityMatrix, ProductEnsemble]:
-    """Seeded mixture of k pure product states, with its certifying ensemble."""
-    check_total_dim(dims[0] * dims[1])
-    if k < 1:
-        raise ValueError("need at least one mixture member")
+    """Seeded mixture of k pure product states, with its certifying ensemble.
+
+    After the Dirichlet weights, each member draws the real then imaginary
+    parts of its A ket, then those of its B ket.
+    """
+    da, db = (_check_count(f"dims[{i}]", d) for i, d in enumerate(dims))
+    k = _check_count("k", k)
+    check_total_dim(da * db)
     rng = np.random.default_rng(seed)
     weights = rng.dirichlet(np.ones(k)) if k > 1 else np.array([1.0])
-    members = []
-    for w in weights:
-        a = _haar_ket(rng, dims[0])
-        b = _haar_ket(rng, dims[1])
-        members.append((float(w), np.outer(a, a.conj()), np.outer(b, b.conj())))
-    ens = ProductEnsemble(tuple(members), dims)
+    re_a, im_a, re_b, im_b = np.split(
+        rng.standard_normal((k, 2 * (da + db))), [da, 2 * da, 2 * da + db], axis=1
+    )
+    factors = []
+    for re, im in ((re_a, im_a), (re_b, im_b)):
+        kets = re + 1j * im
+        kets /= np.array([np.linalg.norm(v) for v in kets])[:, None]
+        factors.append(kets[:, :, None] * kets.conj()[:, None, :])
+    ens = ProductEnsemble(weights, *factors)
     return ens.state(), ens
 
 

@@ -380,7 +380,7 @@ def extend_separable(ens: ProductEnsemble, k: int) -> np.ndarray:
     total = da * db**k
     check_total_dim(total)
     acc = np.zeros((total, total), dtype=complex)
-    for w, ra, rb in ens.members:
+    for w, ra, rb in zip(ens.weights, ens.a, ens.b):
         term = ra
         for _ in range(k):
             term = tensor(term, rb)

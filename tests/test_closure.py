@@ -149,6 +149,35 @@ class TestSweeps:
         with pytest.raises(ValueError, match="need at least one trial"):
             closure_sweep(criterion, trials, 0)
 
+    @pytest.mark.parametrize("criterion, trials", [("ppt", 2.5), ("symext", "3")])
+    def test_rejects_non_integer_trials(self, criterion, trials):
+        with pytest.raises(ValueError, match="^trials must be an integer"):
+            closure_sweep(criterion, trials, 0)
+
+    def test_rejects_unknown_criterion(self):
+        with pytest.raises(ValueError, match="^unknown criterion 'bogus'"):
+            closure_sweep("bogus", 5, 0)
+        with pytest.raises(ValueError, match="^unknown criterion 'bogus'"):
+            closure_check("bogus", maximally_mixed((2, 2)), maximally_mixed((2, 2)))
+
+    @pytest.mark.parametrize("criterion", ONE_SHOT_TESTS)
+    def test_criterion_runs_three_times_per_trial(self, criterion, monkeypatch):
+        # each input once while sampling it, the product once; plus one run
+        # per rejected candidate
+        test = ONE_SHOT_TESTS[criterion]
+        verdicts = []
+
+        def counting(rho):
+            verdicts.append(test(rho))
+            return verdicts[-1]
+
+        monkeypatch.setitem(ONE_SHOT_TESTS, criterion, counting)
+        trials = 12
+        rep = closure_sweep(criterion, trials, (42, list(ONE_SHOT_TESTS).index(criterion)))
+        assert rep.violations == 0
+        rejected = sum(not v.passed for v in verdicts)
+        assert len(verdicts) == 3 * trials + rejected
+
 
 class TestSymextClosure:
     def test_explicit_composition(self):

@@ -10,6 +10,7 @@ from sepkit.linalg import (
     partial_trace,
     partial_transpose,
     permute_systems,
+    check_density,
     psd_floor,
     psd_margin,
     pure_fidelity,
@@ -68,6 +69,17 @@ class TestTensor:
         a = rand_complex(rng, *shapes[0])
         b = rand_complex(rng, *shapes[1])
         assert np.allclose(tensor(a, b), naive_kron(a, b), atol=1e-14)
+
+    @pytest.mark.parametrize("shapes", [((4, 4), (2, 2)), ((2, 3), (3, 2)), ((1, 3), (3, 1))])
+    def test_bit_equal_to_kron(self, shapes):
+        rng = np.random.default_rng(12)
+        a = rand_complex(rng, *shapes[0])
+        b = rand_complex(rng, *shapes[1])
+        b[0, 0] = -0.0
+        assert tensor(a, b).tobytes() == np.kron(a, b).tobytes()
+        ar, br = a.real.copy(), b.real.copy()
+        expected = np.kron(ar.astype(complex), br.astype(complex))
+        assert tensor(ar, br).tobytes() == expected.tobytes()
 
 
 class TestPermuteSystems:
@@ -314,6 +326,28 @@ class TestPsdMargin:
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError):
             psd_margin(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+class TestCheckDensity:
+    def test_stack_spectra_match_one_at_a_time(self):
+        stack = np.stack([random_density(3, seed).mat for seed in range(4)])
+        vals = check_density(stack)
+        assert vals.shape == (4, 3)
+        for m, v in zip(stack, vals):
+            assert v.tobytes() == DensityMatrix(m, (1, 3)).eigenvalues.tobytes()
+
+    def test_density_matrix_runs_the_same_check(self, monkeypatch):
+        import sepkit.linalg
+
+        seen = []
+
+        def spy(m):
+            seen.append(m.shape)
+            return check_density(m)
+
+        monkeypatch.setattr(sepkit.linalg, "check_density", spy)
+        DensityMatrix(np.eye(4) / 4, (2, 2))
+        assert seen == [(4, 4)]
 
 
 class TestDensityMatrix:

@@ -1,5 +1,7 @@
 """State constructors and seeded samplers."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -52,6 +54,18 @@ class TestMaxEntangled:
     def test_rejects_small_d(self):
         with pytest.raises(ValueError):
             max_entangled(1)
+
+    def test_built_once_per_d(self):
+        assert max_entangled(3) is max_entangled(3)
+        assert max_entangled(3).mat.tobytes() == DensityMatrix.from_vector(
+            max_entangled_vector(3), (3, 3)
+        ).mat.tobytes()
+
+    def test_cached_state_still_respects_dim_cap(self, monkeypatch):
+        max_entangled(5)
+        monkeypatch.setattr(sepkit.states, "DIM_CAP", 16)
+        with pytest.raises(ValueError, match="total dimension 25 exceeds cap 16"):
+            max_entangled(5)
 
 
 class TestAntisymVector:
@@ -186,7 +200,7 @@ class TestRandomSeparable:
     def test_state_matches_ensemble(self):
         state, ens = random_separable((2, 3), 5, 7)
         rebuilt = np.zeros((6, 6), dtype=complex)
-        for w, ra, rb in ens.members:
+        for w, ra, rb in zip(ens.weights, ens.a, ens.b):
             rebuilt += w * tensor(ra, rb)
         assert np.max(np.abs(rebuilt - state.mat)) < 1e-12
 
@@ -199,12 +213,44 @@ class TestRandomSeparable:
         with pytest.raises(ValueError):
             random_separable((2, 2), 0, 0)
 
+    @pytest.mark.parametrize(
+        "dims, k, name",
+        [
+            ((0, 2), 1, r"dims\[0\]"),
+            ((2, -1), 1, r"dims\[1\]"),
+            ((2.0, 2), 1, r"dims\[0\]"),
+            ((2, 2), 2.5, "k"),
+            ((2, 2), 0, "k"),
+            ((2, 2), "3", "k"),
+        ],
+    )
+    def test_rejects_bad_sizes_by_name(self, dims, k, name):
+        with pytest.raises(ValueError, match=f"^{name} must be a positive integer"):
+            random_separable(dims, k, 0)
+
+    def test_numpy_integer_sizes_accepted(self):
+        a, _ = random_separable((np.int64(2), 3), np.int32(4), 5)
+        b, _ = random_separable((2, 3), 4, 5)
+        assert a.mat.tobytes() == b.mat.tobytes()
+
+    def test_one_draw_per_member_in_order(self):
+        # weights, then per member: Re and Im of the A ket, then of the B ket
+        dims, k, seed = (2, 3), 3, 8
+        _, ens = random_separable(dims, k, seed)
+        rng = np.random.default_rng(seed)
+        assert np.array_equal(ens.weights, rng.dirichlet(np.ones(k)))
+        for i in range(k):
+            for factor, d in ((ens.a[i], dims[0]), (ens.b[i], dims[1])):
+                v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+                v = v / np.linalg.norm(v)
+                assert factor.tobytes() == np.outer(v, v.conj()).tobytes()
+
     @pytest.mark.parametrize("seed", [0, 7, (4, 5)])
     def test_generator_seed_same_as_its_seed(self, seed):
         a, ens_a = random_separable((2, 3), 4, seed)
         b, ens_b = random_separable((2, 3), 4, np.random.default_rng(seed))
         assert a.mat.tobytes() == b.mat.tobytes()
-        assert ens_a.members[0][0] == ens_b.members[0][0]
+        assert ens_a.weights[0] == ens_b.weights[0]
 
 
 @pytest.mark.parametrize("spec", ["maxent:{d}", "isotropic:{d}:0.5", "random:{d}:{d}:1", "sep:{d}:{d}:2:1"])
@@ -271,19 +317,72 @@ class TestEnsembles:
     def test_product_ensemble_validates_factors(self):
         bad = np.eye(2)  # trace 2
         with pytest.raises(ValueError):
-            ProductEnsemble(((1.0, bad, np.eye(2) / 2),), (2, 2))
+            ProductEnsemble([1.0], [bad], [np.eye(2) / 2])
         for entry in (np.nan, np.inf):
             bad = np.eye(2, dtype=complex) / 2
             bad[0, 1] = bad[1, 0] = entry
             with pytest.raises(ValueError):
-                ProductEnsemble(((1.0, bad, np.eye(2) / 2),), (2, 2))
+                ProductEnsemble([1.0], [bad], [np.eye(2) / 2])
             with pytest.raises(ValueError):
-                ProductEnsemble(((1.0, np.eye(2) / 2, bad),), (2, 2))
+                ProductEnsemble([1.0], [np.eye(2) / 2], [bad])
+
+    def test_product_ensemble_holds_read_only_stacks(self):
+        state, ens = random_separable((2, 3), 4, 3)
+        assert ens.dims == (2, 3)
+        assert ens.weights.shape == (4,)
+        assert ens.a.shape == (4, 2, 2) and ens.b.shape == (4, 3, 3)
+        for arr in (ens.weights, ens.a, ens.b):
+            assert not arr.flags.writeable
+        rebuilt = ProductEnsemble(list(ens.weights), list(ens.a), list(ens.b))
+        assert rebuilt.state().mat.tobytes() == state.mat.tobytes()
+
+    @pytest.mark.parametrize("side", ["a", "b"])
+    @pytest.mark.parametrize(
+        "defect, message",
+        [
+            ("trace2", "trace"),
+            ("nan", "not Hermitian"),
+            ("inf", "not Hermitian"),
+            ("nonhermitian", "not Hermitian"),
+            ("negative", "negative eigenvalue"),
+        ],
+    )
+    def test_stacked_validator_names_bad_member_side(self, side, defect, message):
+        # the bad factor is member 2 of 3
+        _, ens = random_separable((2, 2), 3, 4)
+        stacks = {"a": np.array(ens.a), "b": np.array(ens.b)}
+        bad = stacks[side][1]
+        if defect == "trace2":
+            bad *= 2
+        elif defect in ("nan", "inf"):
+            bad[0, 1] = bad[1, 0] = np.nan if defect == "nan" else np.inf
+        elif defect == "nonhermitian":
+            bad[0, 1] += 1e-3j
+        else:
+            bad[...] = np.diag([1.5, -0.5])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^factor stack {side}: .*{message}"):
+                ProductEnsemble(ens.weights, stacks["a"], stacks["b"])
+
+    @pytest.mark.parametrize(
+        "weights, a, b, match",
+        [
+            ([], np.zeros((0, 2, 2)), np.zeros((0, 2, 2)), "at least one member"),
+            ([1.0], np.eye(2)[None] / 2, np.eye(2) / 2, "^b must stack 1 square factors"),
+            ([0.5, 0.5], np.eye(2)[None] / 2, np.stack([np.eye(2) / 2] * 2), "^a must stack 2"),
+            ([1.0], np.ones((1, 2, 3)) / 2, np.eye(2)[None] / 2, "^a must stack"),
+            ([1.0], np.zeros((1, 0, 0)), np.eye(2)[None] / 2, "^a must stack"),
+        ],
+    )
+    def test_product_ensemble_rejects_bad_shapes(self, weights, a, b, match):
+        with pytest.raises(ValueError, match=match):
+            ProductEnsemble(weights, a, b)
 
     def test_ensembles_reject_nan_weights(self):
         half = np.eye(2) / 2
         with pytest.raises(ValueError, match="weights"):
-            ProductEnsemble(((np.nan, half, half),), (2, 2))
+            ProductEnsemble([np.nan], [half], [half])
         with pytest.raises(ValueError, match="weights"):
             Ensemble(((np.nan, maximally_mixed((2, 2))),))
 

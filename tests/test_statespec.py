@@ -39,7 +39,7 @@ def test_random_deterministic():
 def test_sep_returns_certificate():
     parsed = parse_state_spec("sep:2:2:3:5")
     assert parsed.ensemble is not None
-    assert len(parsed.ensemble.members) == 3
+    assert len(parsed.ensemble.weights) == 3
     assert np.max(np.abs(parsed.ensemble.state().mat - parsed.state.mat)) < 1e-12
 
 

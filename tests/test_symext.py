@@ -107,7 +107,7 @@ class TestSymmetrize:
 class TestExtendSeparable:
     def test_single_product_member(self):
         _, ens = random_separable((2, 2), 1, 0)
-        w, ra, rb = ens.members[0]
+        w, ra, rb = ens.weights[0], ens.a[0], ens.b[0]
         ext = extend_separable(ens, 2)
         assert np.allclose(ext, tensor(ra, tensor(rb, rb)), atol=1e-14)
         res = verify_extension(ext, ens.state(), 2)
