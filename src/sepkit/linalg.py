@@ -137,7 +137,7 @@ def check_density(m: np.ndarray) -> np.ndarray:
     """
     # Inf - Inf in the Hermiticity check is NaN, which fails it without a warning
     with np.errstate(invalid="ignore"):
-        herm_ok = np.abs(m - m.conj().mT).max(axis=(-2, -1)) <= HERM_TOL
+        herm_ok = np.abs(m - np.swapaxes(m.conj(), -2, -1)).max(axis=(-2, -1)) <= HERM_TOL
     tr = m.trace(0, -2, -1)
     tr_ok = abs(tr - 1.0) <= TRACE_TOL
     if not (herm_ok & tr_ok).all():
@@ -172,7 +172,7 @@ class DensityMatrix:
     eigenvalues: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        m = np.array(self.mat, dtype=complex, order="C")
+        m = _as_complex(self.mat).copy()
         dims = (int(self.dims[0]), int(self.dims[1]))
         _check_square(m, dims)
         vals = check_density(m)

@@ -9,7 +9,6 @@ stack checked by one batched density-matrix validation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from numbers import Integral
 
 import numpy as np
@@ -134,14 +133,7 @@ def max_entangled_vector(d: int) -> np.ndarray:
 
 
 def max_entangled(d: int) -> DensityMatrix:
-    """The maximally entangled state (1/d) sum_{i,j} |i,i><j,j|, built once per d."""
-    check_total_dim(d * d)
-    return _max_entangled(d)
-
-
-# bounded: at the dimension cap one cached state holds a 4096 x 4096 matrix
-@lru_cache(maxsize=4)
-def _max_entangled(d: int) -> DensityMatrix:
+    """The maximally entangled state (1/d) sum_{i,j} |i,i><j,j|."""
     return DensityMatrix.from_vector(max_entangled_vector(d), (d, d))
 
 
@@ -162,8 +154,10 @@ def segment_state(rho: DensityMatrix, t: float) -> DensityMatrix:
     da, db = rho.dims
     if da != db:
         raise ValueError(f"segment toward Phi(d) needs dim_a == dim_b, got {rho.dims}")
-    phi = max_entangled(da)
-    return DensityMatrix((1.0 - t) * rho.mat + t * phi.mat, rho.dims)
+    # the matrix of max_entangled(da), left unvalidated: the mixture is checked
+    v = max_entangled_vector(da)
+    phi = np.outer(v, v.conj())
+    return DensityMatrix((1.0 - t) * rho.mat + t * phi, rho.dims)
 
 
 def tiles_upb_vectors() -> list[np.ndarray]:

@@ -55,17 +55,8 @@ class TestMaxEntangled:
         with pytest.raises(ValueError):
             max_entangled(1)
 
-    def test_built_once_per_d(self):
-        assert max_entangled(3) is max_entangled(3)
-        assert max_entangled(3).mat.tobytes() == DensityMatrix.from_vector(
-            max_entangled_vector(3), (3, 3)
-        ).mat.tobytes()
-
-    def test_cached_state_still_respects_dim_cap(self, monkeypatch):
-        max_entangled(5)
-        monkeypatch.setattr(sepkit.states, "DIM_CAP", 16)
-        with pytest.raises(ValueError, match="total dimension 25 exceeds cap 16"):
-            max_entangled(5)
+    def test_fresh_state_per_call(self):
+        assert max_entangled(3) is not max_entangled(3)
 
 
 class TestAntisymVector:
@@ -100,6 +91,13 @@ class TestSegmentState:
         rho = random_density(4, 0, (2, 2))
         assert np.allclose(segment_state(rho, 0.0).mat, rho.mat)
         assert np.allclose(segment_state(maximally_mixed((2, 2)), 1.0).mat, max_entangled(2).mat)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_same_bytes_as_mixing_with_max_entangled(self, d):
+        rho = random_density(d * d, 1, (d, d))
+        for t in (0.0, 0.3, 1.0):
+            expected = (1.0 - t) * rho.mat + t * max_entangled(d).mat
+            assert segment_state(rho, t).mat.tobytes() == expected.tobytes()
 
     def test_isotropic_ppt_threshold(self):
         mixed = maximally_mixed((2, 2))
