@@ -18,7 +18,7 @@ import numpy as np
 from .criteria import ppt_test
 from .linalg import DensityMatrix, is_hermitian, partial_transpose, trace_distance
 from .productopt import max_overlap_with_vector
-from .states import Ensemble, max_entangled, max_entangled_vector, segment_state
+from .states import Ensemble, _segment_mix, max_entangled, max_entangled_vector, segment_state
 from .tomography import Povm, acceptance_probability, default_product_povm, mixture_acceptance
 
 BISECT_TOL = 1e-6
@@ -135,11 +135,13 @@ def ppt_boundary_bisect(
         raise ValueError(f"need a d x d shape with d >= 2, got {rho.dims}")
     if not ppt_test(rho).passed:
         raise ValueError("state is not PPT; no boundary crossing is guaranteed")
-    if ppt_test(max_entangled(d)).passed:
+    phi = max_entangled(d)
+    if ppt_test(phi).passed:
         raise RuntimeError("maximally entangled state tested PPT; eigensolver fault")
 
     def ppt_at(t: float) -> bool:
-        return ppt_test(segment_state(rho, t)).passed
+        # segment_state(rho, t), reusing this call's Phi(d) at every step
+        return ppt_test(_segment_mix(rho, phi.mat, t)).passed
 
     lo, hi = 0.0, 1.0
     while hi - lo > tol:

@@ -156,7 +156,11 @@ def segment_state(rho: DensityMatrix, t: float) -> DensityMatrix:
         raise ValueError(f"segment toward Phi(d) needs dim_a == dim_b, got {rho.dims}")
     # the matrix of max_entangled(da), left unvalidated: the mixture is checked
     v = max_entangled_vector(da)
-    phi = np.outer(v, v.conj())
+    return _segment_mix(rho, np.outer(v, v.conj()), t)
+
+
+def _segment_mix(rho: DensityMatrix, phi: np.ndarray, t: float) -> DensityMatrix:
+    """(1-t) rho + t phi for phi the matrix of Phi(d); only the mixture is validated."""
     return DensityMatrix((1.0 - t) * rho.mat + t * phi, rho.dims)
 
 

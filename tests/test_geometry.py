@@ -5,7 +5,9 @@ import pytest
 
 import sepkit.geometry
 import sepkit.tomography
+from sepkit.criteria import ppt_test
 from sepkit.geometry import (
+    BISECT_TOL,
     definetti_bound,
     farness_certificate,
     fidelity_bound_check,
@@ -194,6 +196,20 @@ class TestBoundaryBisect:
             res = ppt_boundary_bisect(state, certified_separable=True)
             assert res.certified
             assert res.distance_from_start <= 1.0 / np.sqrt(3) + 1e-6
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_same_bits_as_segment_state_loop(self, d):
+        state, _ = random_separable((d, d), 3, 11)
+        lo, hi = 0.0, 1.0
+        while hi - lo > BISECT_TOL:
+            mid = 0.5 * (lo + hi)
+            if ppt_test(segment_state(state, mid)).passed:
+                lo = mid
+            else:
+                hi = mid
+        res = ppt_boundary_bisect(state)
+        assert res.t_star == 0.5 * (lo + hi)
+        assert res.boundary_state.mat.tobytes() == segment_state(state, res.t_star).mat.tobytes()
 
     def test_rejects_non_ppt_start(self):
         with pytest.raises(ValueError):
