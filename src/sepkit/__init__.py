@@ -4,14 +4,15 @@ The library is organized around a small set of layers:
 
 - linalg: dense complex matrices, structural maps (tensor, partial trace,
   partial transpose, realignment), the one PSD rule (psd_floor), the single
-  state validator (check_density, for one matrix or a stack), and the
-  DensityMatrix carrier, which runs it and keeps the ascending spectrum its
-  PSD check computes as ``eigenvalues``.
-- states: constructors and seeded samplers (maximally entangled, tiles UPB,
-  random separable mixtures held as stacked product ensembles, bipartite
-  tensor powers).
+  state validator (check_density), and the DensityMatrix carrier, which runs
+  it and keeps the ascending spectrum its PSD check computes as
+  ``eigenvalues``; each takes one matrix or a stack.
+- states: constructors and seeded samplers, one state or a block per call
+  (maximally entangled, tiles UPB, random separable mixtures held as stacked
+  product ensembles, bipartite tensor powers).
 - criteria: one-shot separability tests (PPT, reduction, entropic,
-  majorization, cross norm) returning quantitative Verdicts.
+  majorization, cross norm), each one stacked rule, returning quantitative
+  Verdicts.
 - symext: the symmetric-extension criterion as convex feasibility solved by
   Dykstra-corrected alternating projections.
 - tomography: IC-POVMs, linear-inversion reconstruction, and Monte-Carlo

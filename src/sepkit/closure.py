@@ -8,6 +8,17 @@ check also verifies the structural identity that underlies the closure proof
 (partial-transpose factorization, the reduction decomposition, entropy
 additivity, prefix-sum dominance of Kronecker spectra, realignment
 factorization, or constructive extension tensoring).
+
+Sweeps run on blocks of trials, and one generator seeded once per sweep
+draws every block in order. Per block, each round of candidate states comes
+as stacks (Hilbert-Schmidt samples and separable mixtures), each validated by
+one `DensityMatrix` and filtered by the criterion's stacked rule in one call;
+the products of the accepted pairs are built by broadcasting, validated in
+one call, and run through the rule and the structural identity row by row.
+The symext branch composes and verifies its extensions on stacks the same
+way. The rows per block follow from BLOCK_ENTRIES, so the block size is part
+of the random stream. That stream replaced one with a generator per candidate
+state; a seed's margins from before that change are not reproduced.
 """
 
 from __future__ import annotations
@@ -17,7 +28,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .criteria import ENTROPIES, ONE_SHOT_TESTS, Verdict, prefix_diffs
+from .criteria import ENTROPIES, ONE_SHOT_TESTS, RULES, Verdict, prefix_diffs
 from .linalg import (
     DensityMatrix,
     partial_trace,
@@ -27,7 +38,12 @@ from .linalg import (
     realign,
     tensor,
 )
-from .states import ProductEnsemble, check_total_dim, random_density, random_separable
+
+from .states import ProductEnsemble, check_total_dim, random_density_block, random_separable_block
+
+# unused here but kept importable: perfbench/spans.py traces the samplers at
+# closure:random_density and closure:random_separable among other sites
+from .states import random_density, random_separable  # noqa: F401
 from .symext import extend_separable, verify_extension
 
 SUB_ASSERT_TOL = 1e-8
@@ -35,6 +51,10 @@ VIOLATION_TOL = 1e-8
 # every sweep pairs two 2 x 2 states; symext sweeps compose 2-copy extensions
 SWEEP_DIMS = (2, 2)
 SWEEP_SYMEXT_K = 2
+# complex entries of the largest per-trial operator, summed over a block's
+# rows: 32 rows of 16 x 16 products, 2 of 64 x 64 symext witnesses. It bounds
+# the block's arrays (and so peak memory), and it is part of the random stream
+BLOCK_ENTRIES = 2**13
 
 
 def _product_matrix(a: np.ndarray, dims_a, b: np.ndarray, dims_b) -> np.ndarray:
@@ -65,11 +85,21 @@ def realign_product_perms(dims_a, dims_b) -> tuple[np.ndarray, np.ndarray]:
     return pa, pb
 
 
+def _kron_spectra(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """np.kron of two spectra, per row of two stacks, sorted non-increasing."""
+    lam = (x[..., :, None] * y[..., None, :]).reshape(x.shape[:-1] + (-1,))
+    return np.sort(lam, axis=-1)[..., ::-1]
+
+
 def _closure_sub_assertions(
     criterion: str, rho: DensityMatrix, sigma: DensityMatrix, prod: DensityMatrix
 ) -> dict:
-    """Structural identity behind the closure proof; prod is bipartite_product(rho, sigma)."""
-    out: dict[str, float | bool] = {}
+    """Structural identity behind the closure proof; prod is bipartite_product(rho, sigma).
+
+    Every value has the states' leading stack axes, so each pair of a stack
+    gets its own flag under "ok".
+    """
+    out: dict = {}
     if criterion == "ppt":
         lhs = partial_transpose(prod.mat, prod.dims)
         rhs = _product_matrix(
@@ -78,7 +108,7 @@ def _closure_sub_assertions(
             partial_transpose(sigma.mat, sigma.dims),
             sigma.dims,
         )
-        out["pt_factorization_gap"] = float(np.max(np.abs(lhs - rhs)))
+        out["pt_factorization_gap"] = np.abs(lhs - rhs).max(axis=(-2, -1))
         out["ok"] = out["pt_factorization_gap"] <= SUB_ASSERT_TOL
     elif criterion == "reduction":
         x = tensor(partial_trace(rho.mat, rho.dims, "A"), np.eye(rho.dim_b))
@@ -86,26 +116,28 @@ def _closure_sub_assertions(
         z = tensor(partial_trace(sigma.mat, sigma.dims, "A"), np.eye(sigma.dim_b))
         w = sigma.mat
         m1, m2 = psd_margin(tensor(x - y, z + w)), psd_margin(tensor(x + y, z - w))
-        out["decomposition_margins"] = (m1, m2)
-        out["ok"] = min(m1, m2) >= -SUB_ASSERT_TOL
+        out["decomposition_margins"] = np.stack([m1, m2], axis=-1)
+        out["ok"] = np.minimum(m1, m2) >= -SUB_ASSERT_TOL
     elif criterion in ENTROPIES:
         ent = ENTROPIES[criterion]
         s_prod = ent(prod.eigenvalues)
-        out["additivity_gap"] = abs(s_prod - (ent(rho.eigenvalues) + ent(sigma.eigenvalues)))
+        out["additivity_gap"] = np.abs(s_prod - (ent(rho.eigenvalues) + ent(sigma.eigenvalues)))
         out["ok"] = out["additivity_gap"] <= 1e-9
     elif criterion == "majorization":
-        lam_global = np.sort(np.kron(rho.eigenvalues, sigma.eigenvalues))[::-1]
-        worst = np.inf
-        for lam_r, lam_s in zip(rho.marginal_spectra, sigma.marginal_spectra):
-            lam_m = np.sort(np.kron(lam_r, lam_s))[::-1]
-            worst = min(worst, float(np.min(prefix_diffs(lam_m, lam_global))))
-        out["kron_prefix_margin"] = float(worst)
+        lam_global = _kron_spectra(rho.eigenvalues, sigma.eigenvalues)
+        worst = np.minimum(
+            *(
+                prefix_diffs(_kron_spectra(lam_r, lam_s), lam_global).min(axis=-1)
+                for lam_r, lam_s in zip(rho.marginal_spectra, sigma.marginal_spectra)
+            )
+        )
+        out["kron_prefix_margin"] = worst
         out["ok"] = worst >= -SUB_ASSERT_TOL
     elif criterion == "crossnorm":
         lhs = realign(prod.mat, prod.dims)
         pa, pb = realign_product_perms(rho.dims, sigma.dims)
         rhs = tensor(realign(rho.mat, rho.dims), realign(sigma.mat, sigma.dims))
-        out["realign_factorization_gap"] = float(np.max(np.abs(lhs - rhs[np.ix_(pa, pb)])))
+        out["realign_factorization_gap"] = np.abs(lhs - rhs[..., pa[:, None], pb]).max(axis=(-2, -1))
         out["ok"] = out["realign_factorization_gap"] <= SUB_ASSERT_TOL
     else:
         raise ValueError(f"unknown criterion {criterion!r}")
@@ -117,20 +149,15 @@ def closure_check(criterion: str, rho: DensityMatrix, sigma: DensityMatrix) -> V
     if criterion not in ONE_SHOT_TESTS:
         raise ValueError(f"unknown criterion {criterion!r}")
     test = ONE_SHOT_TESTS[criterion]
-    return _closure_pair(criterion, rho, test(rho), sigma, test(sigma))
-
-
-def _closure_pair(
-    criterion: str, rho: DensityMatrix, v_rho: Verdict, sigma: DensityMatrix, v_sigma: Verdict
-) -> Verdict:
-    """closure_check given the verdicts the criterion already gave on rho and sigma."""
+    v_rho, v_sigma = test(rho), test(sigma)
     if not (v_rho.passed and v_sigma.passed):
         raise ValueError(f"both inputs must pass {criterion} before a closure check")
     prod = bipartite_product(rho, sigma)
-    verdict = ONE_SHOT_TESTS[criterion](prod)
+    verdict = test(prod)
     details = dict(verdict.details)
     details["inputs_margins"] = (v_rho.margin, v_sigma.margin)
-    details["sub_assertions"] = _closure_sub_assertions(criterion, rho, sigma, prod)
+    subs = _closure_sub_assertions(criterion, rho, sigma, prod)
+    details["sub_assertions"] = {key: np.asarray(value).tolist() for key, value in subs.items()}
     return Verdict(verdict.criterion, verdict.passed, verdict.margin, details, verdict.status)
 
 
@@ -142,25 +169,26 @@ def symext_closure_check(
     Builds explicit k-extensions of two separable states, tensors and regroups
     them so paired B factors become one composite system per copy, and checks
     all extension constraints for the product state directly (no solver run).
+    Two stacks of ensembles are checked pair by pair, each residual and "ok"
+    then holding one entry per pair. Each mixed state is built once.
     """
     rho, sigma = ens_rho.state(), ens_sigma.state()
     w_rho = extend_separable(ens_rho, k)
     w_sigma = extend_separable(ens_sigma, k)
     da, db = rho.dims
     da2, db2 = sigma.dims
-    big = tensor(w_rho, w_sigma)
     # systems: [A, B_1..B_k, A', B'_1..B'_k] -> [A, A', B_1, B'_1, ..., B_k, B'_k]
     dims = [da] + [db] * k + [da2] + [db2] * k
     perm = [0, k + 1]
     for j in range(1, k + 1):
         perm += [j, k + 1 + j]
-    witness = permute_systems(big, dims, perm)
+    witness = permute_systems(tensor(w_rho, w_sigma), dims, perm)
     prod = bipartite_product(rho, sigma)
     residuals = verify_extension(witness, prod, k)
     ok = (
-        residuals["symmetry_residual"] <= SUB_ASSERT_TOL
-        and residuals["marginal_residual"] <= SUB_ASSERT_TOL
-        and residuals["psd_margin"] >= -SUB_ASSERT_TOL
+        (residuals["symmetry_residual"] <= SUB_ASSERT_TOL)
+        & (residuals["marginal_residual"] <= SUB_ASSERT_TOL)
+        & (residuals["psd_margin"] >= -SUB_ASSERT_TOL)
     )
     return {"ok": ok, **residuals}
 
@@ -175,22 +203,71 @@ class SweepReport:
     margins: tuple[float, ...]
 
 
-def _sample_passing_state(
-    criterion: str, dims, rng: np.random.Generator
-) -> tuple[DensityMatrix, Verdict]:
-    """A state passing the criterion, with its verdict: random separable, or a filtered PPT sample."""
-    test = ONE_SHOT_TESTS[criterion]
-    use_random = rng.random() < 0.5
+def _separable_ensembles(rng: np.random.Generator, n: int, most: int) -> ProductEnsemble:
+    """A stack of n random separable SWEEP_DIMS ensembles, each mixing 1 to `most` product states.
+
+    Each row draws its member count first, then all rows draw `most` members
+    in one random_separable_block call. Members past a row's count get
+    weight 0 and the rest are renormalized, which leaves Dirichlet(1, ..., 1)
+    weights over the members kept; the zero-weight members add exact zeros
+    to the row's mixture and extensions.
+    """
+    counts = rng.integers(1, most + 1, size=n)
+    weights, a, b = random_separable_block(SWEEP_DIMS, most, n, rng)
+    weights = np.where(np.arange(most) < counts[:, None], weights, 0.0)
+    return ProductEnsemble(weights / weights.sum(axis=-1, keepdims=True), a, b)
+
+
+def _sample_passing_states(criterion: str, n: int, rng: np.random.Generator) -> np.ndarray:
+    """n SWEEP_DIMS states passing the criterion, as an (n, d, d) stack of validated candidates.
+
+    Each state tries a Hilbert-Schmidt candidate first with probability 1/2;
+    otherwise, or when that fails, it takes random separable candidates (1 to
+    6 members) until one passes. A round's candidates of each kind form one
+    stack, validated once and filtered by the criterion's stacked rule.
+    """
+    rule = RULES[criterion]
+    d = SWEEP_DIMS[0] * SWEEP_DIMS[1]
+    mats = np.empty((n, d, d), dtype=complex)
+    pending = np.arange(n)
+    use_random = rng.random(n) < 0.5
     for _ in range(64):
-        if use_random:
-            cand = random_density(dims[0] * dims[1], int(rng.integers(2**31)), dims)
-        else:
-            cand, _ = random_separable(dims, int(rng.integers(1, 7)), int(rng.integers(2**31)))
-        verdict = test(cand)
-        if verdict.passed:
-            return cand, verdict
-        use_random = False
+        hs = use_random[pending]
+        done = np.zeros(n, dtype=bool)
+        for slots, random_kind in ((pending[hs], True), (pending[~hs], False)):
+            if not slots.size:
+                continue
+            if random_kind:
+                cand = DensityMatrix(random_density_block(d, slots.size, rng), SWEEP_DIMS)
+            else:
+                cand = _separable_ensembles(rng, slots.size, 6).state()
+            passed = rule(cand)[1]
+            mats[slots[passed]] = cand.mat[passed]
+            done[slots[passed]] = True
+        use_random[pending] = False
+        pending = pending[~done[pending]]
+        if not pending.size:
+            return mats
     raise RuntimeError(f"could not sample a state passing {criterion}")
+
+
+def _check_block(criterion: str, n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, int]:
+    """n trials at once: the product margins, the violation flags and the sub-assertion failures.
+
+    A function of its own so that a block's arrays are freed before the next
+    block is drawn.
+    """
+    if criterion == "symext":
+        ens_rho = _separable_ensembles(rng, n, 4)
+        ens_sigma = _separable_ensembles(rng, n, 4)
+        res = symext_closure_check(ens_rho, ens_sigma, SWEEP_SYMEXT_K)
+        return res["psd_margin"], ~res["ok"], 0
+    mats = _sample_passing_states(criterion, 2 * n, rng)
+    rho, sigma = DensityMatrix(mats[:n], SWEEP_DIMS), DensityMatrix(mats[n:], SWEEP_DIMS)
+    prod = bipartite_product(rho, sigma)
+    margin = RULES[criterion](prod)[0]
+    sub_ok = _closure_sub_assertions(criterion, rho, sigma, prod)["ok"]
+    return margin, margin < -VIOLATION_TOL, int(np.count_nonzero(~sub_ok))
 
 
 def closure_sweep(criterion: str, trials: int, seed) -> SweepReport:
@@ -198,37 +275,30 @@ def closure_sweep(criterion: str, trials: int, seed) -> SweepReport:
 
     A violation is a product margin below -1e-8 or a failed sub-assertion.
     For criterion='symext' the check is the constructive witness composition
-    on separable pairs.
+    on separable pairs (1 to 4 members each).
     """
-    if criterion not in ONE_SHOT_TESTS and criterion != "symext":
+    if criterion not in RULES and criterion != "symext":
         raise ValueError(f"unknown criterion {criterion!r}")
-    if not isinstance(trials, Integral):
+    if not isinstance(trials, Integral) or isinstance(trials, bool):
         raise ValueError(f"trials must be an integer, got {trials!r}")
     if trials < 1:
         raise ValueError("need at least one trial")
+    trials = int(trials)
     rng = np.random.default_rng(seed)
-    margins = []
+    da, db = SWEEP_DIMS
+    if criterion == "symext":
+        width = da * da * (db * db) ** SWEEP_SYMEXT_K  # the product's extension
+    else:
+        width = da * da * db * db  # the product state
+    rows = max(1, BLOCK_ENTRIES // width**2)
+    margins: list[float] = []
     violations = 0
     sub_failures = 0
-    for _ in range(trials):
-        if criterion == "symext":
-            _, ens_rho = random_separable(
-                SWEEP_DIMS, int(rng.integers(1, 5)), int(rng.integers(2**31))
-            )
-            _, ens_sigma = random_separable(
-                SWEEP_DIMS, int(rng.integers(1, 5)), int(rng.integers(2**31))
-            )
-            res = symext_closure_check(ens_rho, ens_sigma, SWEEP_SYMEXT_K)
-            margin, violated, sub_ok = float(res["psd_margin"]), not res["ok"], True
-        else:
-            rho, v_rho = _sample_passing_state(criterion, SWEEP_DIMS, rng)
-            sigma, v_sigma = _sample_passing_state(criterion, SWEEP_DIMS, rng)
-            verdict = _closure_pair(criterion, rho, v_rho, sigma, v_sigma)
-            margin, sub_ok = verdict.margin, verdict.details["sub_assertions"]["ok"]
-            violated = margin < -VIOLATION_TOL
-        margins.append(margin)
-        violations += int(violated)
-        sub_failures += int(not sub_ok)
+    for start in range(0, trials, rows):
+        margin, violated, failures = _check_block(criterion, min(rows, trials - start), rng)
+        margins += margin.tolist()
+        violations += int(np.count_nonzero(violated))
+        sub_failures += failures
     return SweepReport(
         criterion, trials, violations, sub_failures, float(np.min(margins)), tuple(margins)
     )

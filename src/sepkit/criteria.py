@@ -3,6 +3,10 @@
 Every test is a necessary condition for separability: a failure certifies
 entanglement, a pass is inconclusive on its own. Margins are signed distances
 from the decision threshold (positive = pass). Logs are base 2 throughout.
+Each criterion is one stacked rule (`RULES`), which takes a `DensityMatrix`
+holding one state or a stack and reuses the spectra it carries; the one-state
+`*_test` functions (`ONE_SHOT_TESTS`) turn its output on one state into a
+`Verdict`.
 """
 
 from __future__ import annotations
@@ -42,91 +46,124 @@ class Verdict:
             object.__setattr__(self, "status", "pass" if self.passed else "fail")
 
 
-def ppt_test(rho: DensityMatrix) -> Verdict:
-    """Positive partial transpose: rho^{T_B} must stay PSD."""
+def _verdict(name: str, margin, passed, details: dict) -> Verdict:
+    """The Verdict of a rule's output on one state (no stack axes), in plain Python numbers."""
+    plain = {k: v.tolist() if isinstance(v, np.ndarray) else float(v) for k, v in details.items()}
+    return Verdict(name, bool(passed), float(margin), plain)
+
+
+def ppt_rule(rho: DensityMatrix):
+    """Positive partial transpose: rho^{T_B} must stay PSD. Returns (margins, passed, details)."""
     vals = np.linalg.eigvalsh(partial_transpose(rho.mat, rho.dims))
     margin, tol = psd_floor(vals)
-    details = {"tol": tol, "pt_eigenvalues": [float(v) for v in vals[::-1]]}
-    return Verdict("ppt", margin >= -tol, margin, details)
+    return margin, margin >= -tol, {"tol": tol, "pt_eigenvalues": vals[..., ::-1]}
 
 
-def reduction_test(rho: DensityMatrix) -> Verdict:
+def ppt_test(rho: DensityMatrix) -> Verdict:
+    """ppt_rule on one state, as a Verdict."""
+    return _verdict("ppt", *ppt_rule(rho))
+
+
+def reduction_rule(rho: DensityMatrix):
     """Reduction criterion on both sides: I ⊗ rho_B >= rho and rho_A ⊗ I >= rho."""
     da, db = rho.dims
     rho_a = partial_trace(rho.mat, rho.dims, "A")
     rho_b = partial_trace(rho.mat, rho.dims, "B")
-    margin_b, tol_b = psd_floor(np.linalg.eigvalsh(tensor(np.eye(da), rho_b) - rho.mat))
-    margin_a, tol_a = psd_floor(np.linalg.eigvalsh(tensor(rho_a, np.eye(db)) - rho.mat))
-    margin = min(margin_b, margin_a)
-    tol = max(tol_b, tol_a)
-    details = {"tol": tol, "margin_b_side": margin_b, "margin_a_side": margin_a}
-    return Verdict("reduction", margin >= -tol, margin, details)
+    sides = np.array([tensor(np.eye(da), rho_b), tensor(rho_a, np.eye(db))]) - rho.mat
+    margins, tols = psd_floor(np.linalg.eigvalsh(sides))
+    margin, tol = np.minimum.reduce(margins), np.maximum.reduce(tols)
+    details = {"tol": tol, "margin_b_side": margins[0], "margin_a_side": margins[1]}
+    return margin, margin >= -tol, details
 
 
-def _renyi2(vals: np.ndarray) -> float:
-    vals = np.clip(vals, 0.0, None)
-    return -float(np.log2(float(np.sum(vals**2))))
+def reduction_test(rho: DensityMatrix) -> Verdict:
+    """reduction_rule on one state, as a Verdict."""
+    return _verdict("reduction", *reduction_rule(rho))
 
 
-def _von_neumann(vals: np.ndarray) -> float:
-    vals = np.clip(vals, 0.0, None)
-    vals = vals[vals > _EIG_FLOOR]
-    return -float(np.sum(vals * np.log2(vals)))
+def _renyi2(vals: np.ndarray) -> np.ndarray:
+    vals = np.maximum(vals, 0.0)
+    return -np.log2(np.add.reduce(vals * vals, axis=-1))
 
 
-# criterion name -> entropy of a spectrum; negative eigenvalues count as zero
+def _von_neumann(vals: np.ndarray) -> np.ndarray:
+    kept = vals > _EIG_FLOOR
+    vals = np.where(kept, vals, 1.0)
+    # summing only the kept entries adds them in the order a sum of the
+    # filtered spectrum would, so the bits do not depend on the zeros
+    return -np.add.reduce(vals * np.log2(vals), axis=-1, where=kept)
+
+
+# criterion name -> entropy of each spectrum along the last axis; negative
+# eigenvalues count as zero
 ENTROPIES = {"entropic-2": _renyi2, "entropic-vn": _von_neumann}
 
 
-def entropic_test(rho: DensityMatrix, alpha: int | str = 2) -> Verdict:
+def _entropic_name(alpha: int | str) -> str:
+    if alpha == 2:
+        return "entropic-2"
+    if alpha == "vn":
+        return "entropic-vn"
+    raise ValueError(f"alpha must be 2 or 'vn', got {alpha!r}")
+
+
+def entropic_rule(rho: DensityMatrix, alpha: int | str = 2):
     """Entropy comparison S(rho_AB) >= S(rho_M) for both marginals M.
 
     alpha=2 uses the Renyi-2 entropy -log2 Tr(rho^2); alpha='vn' uses the von
     Neumann limit. Zero eigenvalues contribute nothing.
     """
-    if alpha == 2:
-        name = "entropic-2"
-    elif alpha == "vn":
-        name = "entropic-vn"
-    else:
-        raise ValueError(f"alpha must be 2 or 'vn', got {alpha!r}")
-    ent = ENTROPIES[name]
+    ent = ENTROPIES[_entropic_name(alpha)]
     s_ab = ent(rho.eigenvalues)
     s_a, s_b = (ent(vals) for vals in rho.marginal_spectra)
-    margin = min(s_ab - s_a, s_ab - s_b)
+    margin = np.minimum(s_ab - s_a, s_ab - s_b)
     details = {"tol": ENTROPY_ABS_TOL, "s_ab": s_ab, "s_a": s_a, "s_b": s_b}
-    return Verdict(name, margin >= -ENTROPY_ABS_TOL, margin, details)
+    return margin, margin >= -ENTROPY_ABS_TOL, details
+
+
+def entropic_test(rho: DensityMatrix, alpha: int | str = 2) -> Verdict:
+    """entropic_rule on one state, as a Verdict."""
+    return _verdict(_entropic_name(alpha), *entropic_rule(rho, alpha))
 
 
 def prefix_diffs(marginal: np.ndarray, global_: np.ndarray) -> np.ndarray:
-    """Prefix sums of a marginal spectrum minus those of the global spectrum.
+    """Prefix sums of a marginal spectrum minus those of the global spectrum, along the last axis.
 
     Both are non-increasing; the marginal is zero-padded to the global length.
     The marginal majorizes the global spectrum when every entry is >= 0.
     """
-    padded = np.concatenate([marginal, np.zeros(global_.size - marginal.size)])
-    return np.cumsum(padded) - np.cumsum(global_)
+    pad = np.zeros(marginal.shape[:-1] + (global_.shape[-1] - marginal.shape[-1],))
+    padded = np.concatenate([marginal, pad], axis=-1)
+    return np.cumsum(padded, axis=-1) - np.cumsum(global_, axis=-1)
+
+
+def majorization_rule(rho: DensityMatrix):
+    """Marginal spectra must majorize the global spectrum (prefix-sum dominance)."""
+    lam_ab = rho.eigenvalues[..., ::-1]
+    prefix = {
+        f"prefix_diffs_{label}": prefix_diffs(lam_m[..., ::-1], lam_ab)
+        for label, lam_m in zip("ab", rho.marginal_spectra)
+    }
+    margin = np.minimum(*(diffs.min(axis=-1) for diffs in prefix.values()))
+    return margin, margin >= -PREFIX_ABS_TOL, {"tol": PREFIX_ABS_TOL, **prefix}
 
 
 def majorization_test(rho: DensityMatrix) -> Verdict:
-    """Marginal spectra must majorize the global spectrum (prefix-sum dominance)."""
-    lam_ab = rho.eigenvalues[::-1]
-    margin = np.inf
-    prefix = {}
-    for label, lam_m in zip("ab", rho.marginal_spectra):
-        diffs = prefix_diffs(lam_m[::-1], lam_ab)
-        prefix[f"prefix_diffs_{label}"] = [float(x) for x in diffs]
-        margin = min(margin, float(np.min(diffs)))
-    details = {"tol": PREFIX_ABS_TOL, **prefix}
-    return Verdict("majorization", margin >= -PREFIX_ABS_TOL, float(margin), details)
+    """majorization_rule on one state, as a Verdict."""
+    return _verdict("majorization", *majorization_rule(rho))
+
+
+def cross_norm_rule(rho: DensityMatrix):
+    """Realignment criterion: trace norm of the realigned state must be <= 1."""
+    tn = np.add.reduce(singular_values(realign(rho.mat, rho.dims)), axis=-1)
+    margin = 1.0 - tn
+    details = {"tol": CROSSNORM_ABS_TOL, "realigned_trace_norm": tn}
+    return margin, margin >= -CROSSNORM_ABS_TOL, details
 
 
 def cross_norm_test(rho: DensityMatrix) -> Verdict:
-    """Realignment criterion: trace norm of the realigned state must be <= 1."""
-    tn = float(np.sum(singular_values(realign(rho.mat, rho.dims))))
-    margin = 1.0 - tn
-    details = {"tol": CROSSNORM_ABS_TOL, "realigned_trace_norm": tn}
-    return Verdict("crossnorm", margin >= -CROSSNORM_ABS_TOL, margin, details)
+    """cross_norm_rule on one state, as a Verdict."""
+    return _verdict("crossnorm", *cross_norm_rule(rho))
 
 
 ONE_SHOT_TESTS = {
@@ -136,6 +173,18 @@ ONE_SHOT_TESTS = {
     "entropic-vn": lambda rho: entropic_test(rho, "vn"),
     "majorization": majorization_test,
     "crossnorm": cross_norm_test,
+}
+
+# the same criteria as stacked rules: a state or a stack (..., d, d) in, and
+# (margins, pass flags, details) out with the input's leading axes; each
+# ONE_SHOT_TESTS entry is its rule on one state
+RULES = {
+    "ppt": ppt_rule,
+    "reduction": reduction_rule,
+    "entropic-2": lambda rho: entropic_rule(rho, 2),
+    "entropic-vn": lambda rho: entropic_rule(rho, "vn"),
+    "majorization": majorization_rule,
+    "crossnorm": cross_norm_rule,
 }
 
 

@@ -1,9 +1,12 @@
 """Constructors and seeded samplers for the state families used throughout.
 
 All samplers are pure functions of their integer seed: the same seed yields
-a bit-identical result. A ``ProductEnsemble`` holds its k product members as
-stacks: weights (k,), A factors (k, dA, dA) and B factors (k, dB, dB), each
-stack checked by one batched density-matrix validation.
+a bit-identical result. The block samplers draw n states from one generator
+in one call; `random_density` and `random_separable` are their n = 1 calls.
+A ``ProductEnsemble`` holds its k product members as stacks: weights (k,),
+A factors (k, dA, dA) and B factors (k, dB, dB), each stack checked by one
+batched density-matrix validation; with a leading axis (n, k, ...) it holds n
+ensembles of k members each.
 """
 
 from __future__ import annotations
@@ -36,17 +39,17 @@ def check_total_dim(total: int) -> None:
 
 def _check_count(name: str, value) -> int:
     """Reject a size or count that is not a positive integer, naming the argument."""
-    if not isinstance(value, Integral) or value < 1:
+    if not isinstance(value, Integral) or isinstance(value, bool) or value < 1:
         raise ValueError(f"{name} must be a positive integer, got {value!r}")
     return int(value)
 
 
 def _check_weights(weights: list[float] | np.ndarray) -> None:
-    # written to fail on NaN weights
+    """Weights along the last axis must be non-negative and sum to 1; written to fail on NaN."""
     w = np.array(weights, dtype=float)
     if not np.all(w >= -1e-12):
         raise ValueError("ensemble weights must be non-negative")
-    if not abs(float(np.sum(w)) - 1.0) <= 1e-10:
+    if not np.all(abs(np.sum(w, axis=-1) - 1.0) <= 1e-10):
         raise ValueError("ensemble weights must sum to 1 within 1e-10")
 
 
@@ -75,8 +78,10 @@ class Ensemble:
 class ProductEnsemble:
     """Mixture sum_i weights[i] a[i] ⊗ b[i] of product states; separable by construction.
 
-    ``weights`` is (k,), ``a`` is (k, dA, dA) and ``b`` is (k, dB, dB). Each
-    factor must be a density matrix; read-only copies of the stacks are kept.
+    ``weights`` is (k,), ``a`` is (k, dA, dA) and ``b`` is (k, dB, dB); with
+    leading axes (weights (..., k), a (..., k, dA, dA), ...) it is a stack of
+    ensembles of k members each. Each factor must be a density matrix;
+    read-only copies of the stacks are kept.
     """
 
     weights: np.ndarray
@@ -85,12 +90,12 @@ class ProductEnsemble:
 
     def __post_init__(self) -> None:
         w = np.array(self.weights, dtype=float)
-        if w.ndim != 1 or not w.size:
+        if w.ndim < 1 or not w.size:
             raise ValueError("ensemble needs at least one member")
         for name in ("a", "b"):
             f = np.array(getattr(self, name), dtype=complex, order="C")
-            if f.ndim != 3 or len(f) != len(w) or not f.shape[1] == f.shape[2] >= 1:
-                raise ValueError(f"{name} must stack {len(w)} square factors, got shape {f.shape}")
+            if f.shape[:-2] != w.shape or not f.shape[-2] == f.shape[-1] >= 1:
+                raise ValueError(f"{name} must stack {w.shape[-1]} square factors, got shape {f.shape}")
             try:
                 check_density(f)
             except ValueError as err:
@@ -103,14 +108,14 @@ class ProductEnsemble:
 
     @property
     def dims(self) -> Dims:
-        return self.a.shape[1], self.b.shape[1]
+        return self.a.shape[-1], self.b.shape[-1]
 
     def state(self) -> DensityMatrix:
-        """The mixture sum_i w_i rho_a_i ⊗ rho_b_i this ensemble certifies."""
+        """The mixture sum_i w_i rho_a_i ⊗ rho_b_i this ensemble certifies (a stack for a stack)."""
         da, db = self.dims
-        acc = np.zeros((da * db, da * db), dtype=complex)
-        for w, ra, rb in zip(self.weights, self.a, self.b):
-            acc += w * tensor(ra, rb)
+        acc = np.zeros(self.weights.shape[:-1] + (da * db, da * db), dtype=complex)
+        for i in range(self.weights.shape[-1]):
+            acc += self.weights[..., i, None, None] * tensor(self.a[..., i, :, :], self.b[..., i, :, :])
         return DensityMatrix(acc, self.dims)
 
     def to_ensemble(self) -> Ensemble:
@@ -201,25 +206,35 @@ def haar_unitary(d: int, seed) -> np.ndarray:
     return q * phases
 
 
+def random_density_block(d: int, n: int, seed, cols: int | None = None) -> np.ndarray:
+    """n seeded samples G G^dag / Tr(G G^dag), G a d x cols complex Gaussian, as an (n, d, d) stack.
+
+    All real parts are drawn before all imaginary parts. The stack is left
+    unchecked: wrap it in a DensityMatrix, which validates it in one call.
+    """
+    d = _check_count("d", d)
+    n = _check_count("n", n)
+    cols = d if cols is None else _check_count("cols", cols)
+    check_total_dim(d)
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((n, d, cols)) + 1j * rng.standard_normal((n, d, cols))
+    m = g @ g.conj().swapaxes(-2, -1)
+    m /= m.trace(0, -2, -1).real[:, None, None]
+    return 0.5 * (m + m.conj().swapaxes(-2, -1))
+
+
 def random_density(d: int, seed, dims: Dims | None = None, cols: int | None = None) -> DensityMatrix:
     """Seeded sample G G^dag / Tr(G G^dag) with G a d x cols complex Gaussian.
 
     cols=d (the default) is the Hilbert-Schmidt measure; larger cols gives the
     induced measure with more-mixed samples (useful when rejection-sampling
-    for rare spectral properties).
+    for rare spectral properties). The one-state call of random_density_block.
     """
-    check_total_dim(d)
-    if d < 1:
-        raise ValueError("dimension must be >= 1")
+    m = random_density_block(d, 1, seed, cols)[0]
     if dims is None:
         dims = (1, d)
     elif dims[0] * dims[1] != d:
         raise ValueError(f"dims {dims} do not multiply to {d}")
-    rng = np.random.default_rng(seed)
-    g = rng.standard_normal((d, cols or d)) + 1j * rng.standard_normal((d, cols or d))
-    m = g @ g.conj().T
-    m /= np.trace(m).real
-    m = 0.5 * (m + m.conj().T)
     return DensityMatrix(m, dims)
 
 
@@ -228,26 +243,38 @@ def _haar_ket(rng: np.random.Generator, d: int) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def random_separable(dims: Dims, k: int, seed) -> tuple[DensityMatrix, ProductEnsemble]:
-    """Seeded mixture of k pure product states, with its certifying ensemble.
+def random_separable_block(dims: Dims, k: int, n: int, seed) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Stacks (weights (n, k), a (n, k, dA, dA), b (n, k, dB, dB)) of n seeded k-member product mixtures.
 
-    After the Dirichlet weights, each member draws the real then imaginary
-    parts of its A ket, then those of its B ket.
+    After the Dirichlet weights of all n mixtures, each member in turn draws
+    the real then imaginary parts of its A ket, then those of its B ket. The
+    stacks are left unchecked: ProductEnsemble validates them.
     """
     da, db = (_check_count(f"dims[{i}]", d) for i, d in enumerate(dims))
     k = _check_count("k", k)
+    n = _check_count("n", n)
     check_total_dim(da * db)
     rng = np.random.default_rng(seed)
-    weights = rng.dirichlet(np.ones(k)) if k > 1 else np.array([1.0])
+    weights = rng.dirichlet(np.ones(k), size=n) if k > 1 else np.ones((n, 1))
     re_a, im_a, re_b, im_b = np.split(
-        rng.standard_normal((k, 2 * (da + db))), [da, 2 * da, 2 * da + db], axis=1
+        rng.standard_normal((n, k, 2 * (da + db))), [da, 2 * da, 2 * da + db], axis=-1
     )
     factors = []
     for re, im in ((re_a, im_a), (re_b, im_b)):
         kets = re + 1j * im
-        kets /= np.array([np.linalg.norm(v) for v in kets])[:, None]
-        factors.append(kets[:, :, None] * kets.conj()[:, None, :])
-    ens = ProductEnsemble(weights, *factors)
+        # per ket, the two strided dot products np.linalg.norm takes, to the bit
+        x, y = kets.real[..., None, :], kets.imag[..., None, :]
+        kets /= np.sqrt(x @ x.swapaxes(-2, -1) + y @ y.swapaxes(-2, -1))[..., 0]
+        factors.append(kets[..., :, None] * kets.conj()[..., None, :])
+    return weights, factors[0], factors[1]
+
+
+def random_separable(dims: Dims, k: int, seed) -> tuple[DensityMatrix, ProductEnsemble]:
+    """Seeded mixture of k pure product states, with its certifying ensemble.
+
+    The one-mixture call of random_separable_block.
+    """
+    ens = ProductEnsemble(*(stack[0] for stack in random_separable_block(dims, k, 1, seed)))
     return ens.state(), ens
 
 

@@ -332,29 +332,33 @@ def symmetrize_b(x: np.ndarray, problem: ExtensionProblem) -> np.ndarray:
     """Group average (1/k!) sum_pi P_pi X P_pi over permutations of the B factors.
 
     Computed by the coset recursion S_m = (1/m) sum_{j<=m} P_(j m) S_{m-1} P_(j m),
-    which needs k(k-1)/2 transpositions instead of k! permutations.
+    which needs k(k-1)/2 transpositions instead of k! permutations. A stack
+    (..., n, n) is averaged operator by operator.
     """
     x = np.asarray(x, dtype=complex)
     n = problem.total_dim
-    if x.shape != (n, n):
+    if x.shape[-2:] != (n, n):
         raise ValueError(f"operator shape {x.shape} does not match problem dim {n}")
     acc = x
     for m in range(2, problem.copies + 1):
         terms = acc.copy()
         for j in range(1, m):
             terms += _swap_b(acc, problem, j, m)
-        acc = terms / m
+        terms /= m
+        acc = terms
     return acc
 
 
 def _swap_b(x: np.ndarray, problem: ExtensionProblem, i: int, j: int) -> np.ndarray:
-    """P X P for P the swap of the factors B_i and B_j (1-based)."""
+    """P X P for P the swap of the factors B_i and B_j (1-based), per operator of a stack."""
     k = problem.copies
-    # row factors A, B_1..B_k on axes 0..k, column factors on axes k+1..2k+1
-    shape = [problem.dim_a] + [problem.dim_b] * k
-    axes = list(range(2 * k + 2))
-    axes[i], axes[j], axes[k + 1 + i], axes[k + 1 + j] = j, i, k + 1 + j, k + 1 + i
-    return x.reshape(shape + shape).transpose(axes).reshape(x.shape)
+    s = x.ndim - 2
+    # row factors A, B_1..B_k on axes s..s+k, column factors on axes s+k+1..s+2k+1
+    shape = (problem.dim_a,) + (problem.dim_b,) * k
+    axes = list(range(s + 2 * k + 2))
+    for a, b in ((s + i, s + j), (s + k + 1 + i, s + k + 1 + j)):
+        axes[a], axes[b] = b, a
+    return x.reshape(x.shape[:-2] + shape + shape).transpose(axes).reshape(x.shape)
 
 
 def _product_start(problem: ExtensionProblem) -> np.ndarray:
@@ -373,18 +377,18 @@ def _product_start(problem: ExtensionProblem) -> np.ndarray:
 
 
 def extend_separable(ens: ProductEnsemble, k: int) -> np.ndarray:
-    """Explicit extension sum_i p_i sigma_i ⊗ tau_i^{⊗k} of a known-separable state."""
+    """Explicit extension sum_i p_i sigma_i ⊗ tau_i^{⊗k} of a known-separable state (a stack for a stack)."""
     if k < 2:
         raise ValueError("symmetric extension needs k >= 2 copies")
     da, db = ens.dims
     total = da * db**k
     check_total_dim(total)
-    acc = np.zeros((total, total), dtype=complex)
-    for w, ra, rb in zip(ens.weights, ens.a, ens.b):
-        term = ra
+    acc = np.zeros(ens.weights.shape[:-1] + (total, total), dtype=complex)
+    for i in range(ens.weights.shape[-1]):
+        term = ens.a[..., i, :, :]
         for _ in range(k):
-            term = tensor(term, rb)
-        acc += w * term
+            term = tensor(term, ens.b[..., i, :, :])
+        acc += ens.weights[..., i, None, None] * term
     return acc
 
 
@@ -463,16 +467,20 @@ def support_face(problem: ExtensionProblem, sw: SchurWeylBlocks) -> list[np.ndar
     )
 
 
-def verify_extension(x: np.ndarray, rho: DensityMatrix, k: int) -> dict[str, float]:
-    """Residuals of the three extension constraint families for a candidate X."""
+def verify_extension(x: np.ndarray, rho: DensityMatrix, k: int) -> dict:
+    """Residuals of the three extension constraint families for a candidate X.
+
+    For a stack of candidates and a stack of states, each residual is an
+    array with one entry per pair.
+    """
     problem = ExtensionProblem(rho, k)
-    sym_res = float(np.linalg.norm(symmetrize_b(x, problem) - x))
-    tr_res = float(np.linalg.norm(_trace_out_extra_copies(x, problem) - rho.mat))
-    vals = np.linalg.eigvalsh(0.5 * (x + x.conj().T))
+    sym_res = np.linalg.norm(symmetrize_b(x, problem) - x, axis=(-2, -1))
+    tr_res = np.linalg.norm(_trace_out_extra_copies(x, problem) - rho.mat, axis=(-2, -1))
+    vals = np.linalg.eigvalsh(0.5 * (x + x.conj().swapaxes(-2, -1)))
     return {
         "symmetry_residual": sym_res,
         "marginal_residual": tr_res,
-        "psd_margin": float(vals[0]),
+        "psd_margin": vals[..., 0],
     }
 
 

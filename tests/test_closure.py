@@ -5,20 +5,23 @@ import pytest
 
 import sepkit.closure
 from sepkit.closure import (
+    BLOCK_ENTRIES,
     bipartite_product,
     closure_check,
     closure_sweep,
     realign_product_perms,
     symext_closure_check,
 )
-from sepkit.criteria import ONE_SHOT_TESTS
-from sepkit.linalg import partial_trace, partial_transpose, realign, tensor
+from sepkit.criteria import ONE_SHOT_TESTS, RULES
+from sepkit.linalg import DensityMatrix, partial_trace, partial_transpose, realign, tensor
 from sepkit.states import (
+    ProductEnsemble,
     max_entangled,
     maximally_mixed,
     random_density,
     random_separable,
 )
+from sepkit.statespec import parse_state_spec
 
 
 class TestBipartiteProduct:
@@ -118,17 +121,23 @@ class TestClosureCheck:
 
     @pytest.mark.parametrize("criterion", ONE_SHOT_TESTS)
     def test_builds_the_product_once(self, criterion, monkeypatch):
+        # once per closure_check, and once per block of a sweep, holding
+        # every product of the block
         calls = []
 
         def counting(rho, sigma, *args):
-            calls.append(1)
+            calls.append(rho.mat.shape[:-2])
             return bipartite_product(rho, sigma, *args)
 
         monkeypatch.setattr(sepkit.closure, "bipartite_product", counting)
         rho, _ = random_separable((2, 2), 3, 22)
         sigma, _ = random_separable((2, 2), 2, 23)
         closure_check(criterion, rho, sigma)
-        assert len(calls) == 1
+        assert calls == [()]
+        calls.clear()
+        rows = BLOCK_ENTRIES // 16**2
+        closure_sweep(criterion, rows + 3, (23, list(ONE_SHOT_TESTS).index(criterion)))
+        assert calls == [(rows,), (3,)]
 
 
 class TestSweeps:
@@ -162,21 +171,99 @@ class TestSweeps:
 
     @pytest.mark.parametrize("criterion", ONE_SHOT_TESTS)
     def test_criterion_runs_three_times_per_trial(self, criterion, monkeypatch):
-        # each input once while sampling it, the product once; plus one run
-        # per rejected candidate
-        test = ONE_SHOT_TESTS[criterion]
-        verdicts = []
+        # the stacked rule sees each input once while sampling it and each
+        # product once, plus one row per rejected candidate; the products of
+        # a block go through it in one call
+        rule = RULES[criterion]
+        calls = []
 
         def counting(rho):
-            verdicts.append(test(rho))
-            return verdicts[-1]
+            out = rule(rho)
+            calls.append((rho.dim, np.size(out[1]), int(np.count_nonzero(out[1]))))
+            return out
 
-        monkeypatch.setitem(ONE_SHOT_TESTS, criterion, counting)
-        trials = 12
+        monkeypatch.setitem(RULES, criterion, counting)
+        rows = BLOCK_ENTRIES // 16**2
+        trials = rows + 12
         rep = closure_sweep(criterion, trials, (42, list(ONE_SHOT_TESTS).index(criterion)))
         assert rep.violations == 0
-        rejected = sum(not v.passed for v in verdicts)
-        assert len(verdicts) == 3 * trials + rejected
+        rejected = sum(size - passed for _, size, passed in calls)
+        assert sum(size for _, size, _ in calls) == 3 * trials + rejected
+        assert [size for dim, size, _ in calls if dim == 16] == [rows, 12]
+
+    def test_mutant_pt_factorization_fails_one_row(self, monkeypatch):
+        # break PT(rho ⊗ sigma) = PT(rho) ⊗ PT(sigma) for one product of a block
+        def broken(m, dims):
+            out = partial_transpose(m, dims)
+            if out.ndim == 3 and out.shape[-1] == 16:
+                out[2, 0, 1] += 1e-3
+            return out
+
+        monkeypatch.setattr(sepkit.closure, "partial_transpose", broken)
+        rep = closure_sweep("ppt", 10, 5)
+        assert (rep.violations, rep.sub_assertion_failures) == (0, 1)
+
+    def test_symext_builds_each_mixture_once(self, monkeypatch):
+        built = []
+        state = ProductEnsemble.state
+
+        def counting(ens):
+            built.append(ens.weights[..., 0].size)
+            return state(ens)
+
+        monkeypatch.setattr(ProductEnsemble, "state", counting)
+        trials = 9
+        assert closure_sweep("symext", trials, 6).violations == 0
+        assert sum(built) == 2 * trials
+
+    @pytest.mark.parametrize("trials", [True, np.bool_(True)])
+    def test_rejects_boolean_trials(self, trials):
+        with pytest.raises(ValueError, match="^trials must be an integer"):
+            closure_sweep("ppt", trials, 0)
+
+    def test_reports_plain_int_trials(self):
+        rep = closure_sweep("ppt", np.int64(3), 0)
+        assert type(rep.trials) is int and rep.trials == 3
+
+
+class TestStackedRules:
+    """Each stacked rule on a stack equals its one-row calls and the one-state test."""
+
+    @staticmethod
+    def screen_states():
+        # the 102 states the benchmark's screen workload checks (seed 1)
+        seeds = iter(int(s) for s in np.random.default_rng([1, 4]).integers(1, 1_000_000, 120))
+        specs = []
+        for da, db in ((2, 2), (2, 3), (3, 3)):
+            for i in range(13):
+                specs.append(f"sep:{da}:{db}:{1 + i % 4}:{next(seeds)}")
+                specs.append(f"random:{da}:{db}:{next(seeds)}")
+        specs += [f"isotropic:{d}:{t:.2f}" for d in (2, 3) for t in np.linspace(0.05, 0.95, 10)]
+        specs += ["tiles"] + [f"maxent:{d}" for d in (2, 3, 4)]
+        return [parse_state_spec(spec).state for spec in specs]
+
+    @pytest.mark.parametrize("criterion", ONE_SHOT_TESTS)
+    def test_stack_equals_one_row_calls(self, criterion):
+        states = self.screen_states()
+        assert len(states) == 102
+        groups = {}
+        for rho in states:
+            groups.setdefault(rho.dims, []).append(rho)
+        rule, test = RULES[criterion], ONE_SHOT_TESTS[criterion]
+        for dims, group in groups.items():
+            mats = np.stack([rho.mat for rho in group])
+            margins, passed, details = rule(DensityMatrix(mats, dims))
+            for i, rho in enumerate(group):
+                row_margin, row_passed, row_details = rule(DensityMatrix(mats[i : i + 1], dims))
+                verdict = test(rho)
+                assert passed[i] == row_passed[0] == verdict.passed
+                assert abs(margins[i] - row_margin[0]) <= 1e-12
+                assert abs(margins[i] - verdict.margin) <= 1e-12
+                for key, value in verdict.details.items():
+                    stacked = np.broadcast_to(details[key], passed.shape + np.shape(value))[i]
+                    one_row = np.broadcast_to(row_details[key], (1,) + np.shape(value))[0]
+                    assert np.allclose(stacked, value, rtol=0, atol=1e-12)
+                    assert np.allclose(one_row, value, rtol=0, atol=1e-12)
 
 
 class TestSymextClosure:

@@ -1,16 +1,18 @@
 """Seeded product ensembles, their extensions and closure sweeps, pinned to the byte.
 
-One sha256 covers `random_separable` over six shapes, k = 1..6 and seeds
-0..59 (the mixed state, its spectrum, and each weight and factor in member
-order), `extend_separable(ens, 2)` for the 2x2 mixtures with k <= 3, and the
-`repr` of a 20-trial `closure_sweep` for every criterion. Any change to the
-order of the random draws, the arithmetic of the mixture sum or the sweep's
-sampling moves it.
+`SEPARABLE_DIGEST` covers `random_separable` over six shapes, k = 1..6 and
+seeds 0..59 (the mixed state, its spectrum, and each weight and factor in
+member order) and `extend_separable(ens, 2)` for the 2x2 mixtures with
+k <= 3. Any change to the order of the random draws or the arithmetic of the
+mixture sum moves it. `SWEEP_DIGEST` covers the `repr` of a 20-trial
+`closure_sweep` for every criterion, so it also moves when the sweep's
+sampling does.
 """
 
 import hashlib
 
 import numpy as np
+import pytest
 
 from sepkit.closure import closure_sweep
 from sepkit.criteria import ONE_SHOT_TESTS
@@ -18,7 +20,9 @@ from sepkit.states import random_separable
 from sepkit.symext import extend_separable
 
 DIMS = [(1, 3), (2, 2), (2, 3), (3, 2), (3, 3), (4, 4)]
-DIGEST = "cdc6da16f10731bf1c531ce6fda4dabcacec1a27a3f3175b566d5f273eb3e0f9"
+SEPARABLE_DIGEST = "d2ba9cf06b647091c850d32062e36286ad66570b56631768652c6f7c2ba4b60e"
+SWEEP_DIGEST = "e3baa5bed1a0dfdbd1dd00647959a91525353062680862ac19b97fb04b32acdf"
+SWEEP_CRITERIA = [*ONE_SHOT_TESTS, "symext"]
 
 
 def test_seeded_outputs_pinned():
@@ -35,6 +39,17 @@ def test_seeded_outputs_pinned():
                     h.update(b.tobytes())
                 if dims == (2, 2) and k <= 3:
                     h.update(extend_separable(ens, 2).tobytes())
-    for criterion in [*ONE_SHOT_TESTS, "symext"]:
+    assert h.hexdigest() == SEPARABLE_DIGEST
+
+
+def test_closure_sweeps_pinned():
+    h = hashlib.sha256()
+    for criterion in SWEEP_CRITERIA:
         h.update(repr(closure_sweep(criterion, 20, 7)).encode())
-    assert h.hexdigest() == DIGEST
+    assert h.hexdigest() == SWEEP_DIGEST
+
+
+@pytest.mark.parametrize("criterion", SWEEP_CRITERIA)
+def test_closure_sweep_repeats_per_seed(criterion):
+    assert closure_sweep(criterion, 9, (3, 1)) == closure_sweep(criterion, 9, (3, 1))
+    assert closure_sweep(criterion, 9, 3) != closure_sweep(criterion, 9, 4)

@@ -26,7 +26,9 @@ from sepkit.states import (
     max_entangled_vector,
     maximally_mixed,
     random_density,
+    random_density_block,
     random_separable,
+    random_separable_block,
     segment_state,
     tensor_power_bipartite,
     tiles_upb_state,
@@ -181,6 +183,28 @@ class TestRandomDensity:
         mean = DensityMatrix(acc / n, (1, 2))
         assert trace_distance(mean, maximally_mixed((1, 2))) < 0.05
 
+    @pytest.mark.parametrize(
+        "args, kwargs, name",
+        [
+            ((4, 1, (2, 2)), {"cols": 0}, "cols"),
+            ((4, 1, (2, 2)), {"cols": -1}, "cols"),
+            ((4, 1, (2, 2)), {"cols": 2.0}, "cols"),
+            ((2.5, 1), {}, "d"),
+            ((True, 1), {}, "d"),
+        ],
+    )
+    def test_rejects_bad_sizes_by_name(self, args, kwargs, name):
+        with pytest.raises(ValueError, match=f"^{name} must be a positive integer"):
+            random_density(*args, **kwargs)
+
+    def test_is_the_one_row_block(self):
+        block = random_density_block(6, 3, 9, cols=8)
+        assert block.shape == (3, 6, 6)
+        one = random_density(6, 9, (2, 3), cols=8)
+        assert one.mat.tobytes() == random_density_block(6, 1, 9, cols=8)[0].tobytes()
+        with pytest.raises(ValueError, match="^n must be a positive integer"):
+            random_density_block(6, 0, 9)
+
     def test_induced_measure_more_mixed(self):
         pure_ish = random_density(9, 5, (3, 3))
         mixed_ish = random_density(9, 5, (3, 3), cols=27)
@@ -220,6 +244,8 @@ class TestRandomSeparable:
             ((2, 2), 2.5, "k"),
             ((2, 2), 0, "k"),
             ((2, 2), "3", "k"),
+            ((2, 2), True, "k"),
+            ((True, 2), 1, r"dims\[0\]"),
         ],
     )
     def test_rejects_bad_sizes_by_name(self, dims, k, name):
@@ -242,6 +268,16 @@ class TestRandomSeparable:
                 v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
                 v = v / np.linalg.norm(v)
                 assert factor.tobytes() == np.outer(v, v.conj()).tobytes()
+
+    def test_is_the_one_row_block(self):
+        _, ens = random_separable((2, 3), 4, 5)
+        weights, a, b = random_separable_block((2, 3), 4, 1, 5)
+        assert weights[0].tobytes() == ens.weights.tobytes()
+        assert a[0].tobytes() == ens.a.tobytes() and b[0].tobytes() == ens.b.tobytes()
+        stacked = ProductEnsemble(*random_separable_block((2, 3), 4, 3, 5))
+        assert stacked.dims == (2, 3) and stacked.state().mat.shape == (3, 6, 6)
+        with pytest.raises(ValueError, match="^n must be a positive integer"):
+            random_separable_block((2, 3), 4, 0, 5)
 
     @pytest.mark.parametrize("seed", [0, 7, (4, 5)])
     def test_generator_seed_same_as_its_seed(self, seed):
