@@ -1,21 +1,27 @@
 #!/usr/bin/env python3
-"""Symmetric-extension feasibility by alternating projections.
+"""Symmetric-extension feasibility by a dual search that ends on a certificate.
 
 A separable state always extends: sum_i p_i sigma_i (x) tau_i^{(x)k} is an
 explicit witness, and the search finds one from a cold start because it runs
-on the face of the state's support. The maximally entangled state has no
-2-copy extension at all (monogamy): that face is empty, so the search stops
-before its first iteration.
+on the face of the state's support. A state with no extension ends with a
+Farkas witness W': Tr(W' rho) > 0 while symmetrize_b(W' (x) I) is negative
+definite, so no PSD extension X can have Tr(W' rho) = Tr(symmetrize_b(W' (x) I) X).
+The maximally entangled state has no 2-copy extension at all (monogamy): the
+face of its support is empty, so the search stops before its first iteration.
 """
 
 import numpy as np
 
 from sepkit import (
+    ExtensionProblem,
     extend_separable,
     has_symmetric_extension,
     max_entangled,
     maximally_mixed,
     random_separable,
+    segment_state,
+    symmetrize_b,
+    tensor,
     verify_extension,
 )
 
@@ -25,7 +31,7 @@ def main():
 
     print("rank-3 separable mixture, cold start (search on the face of its support):")
     res = has_symmetric_extension(state, 2)
-    print(f"  {res.status} after {res.iterations} iterations (residual {res.residual:.2e})")
+    print(f"  {res.status} after {res.iterations} iterations (marginal residual {res.residual:.2e})")
     print(f"  witness residuals: {verify_extension(res.witness_extension, state, 2)}")
 
     print("separable mixture, started from its explicit extension:")
@@ -35,12 +41,21 @@ def main():
 
     print("\nmaximally mixed state, k = 3 copies:")
     res = has_symmetric_extension(maximally_mixed((2, 2)), 3)
-    print(f"  {res.status} after {res.iterations} iteration(s)  (I/8-style extension)")
+    print(f"  {res.status} after {res.iterations} iterations (the extension I/16)")
+
+    print("\nisotropic state 0.2 I/4 + 0.8 Phi(2), k = 2 copies:")
+    iso = segment_state(maximally_mixed((2, 2)), 0.8)
+    res = has_symmetric_extension(iso, 2)
+    print(f"  {res.status} ({res.stop_reason}) after {res.iterations} iterations")
+    w = res.farkas_witness
+    lifted = symmetrize_b(tensor(w, np.eye(2)), ExtensionProblem(iso, 2))
+    print(f"  Tr(W' rho) = {np.trace(w @ iso.mat).real:.4f} > 0, "
+          f"largest eigenvalue of symmetrize_b(W' (x) I) = {np.linalg.eigvalsh(lifted)[-1]:.4f} < 0")
 
     print("\nmaximally entangled state, k = 2 copies:")
     res = has_symmetric_extension(max_entangled(2), 2)
-    print(f"  {res.status} after {res.iterations} iterations: the face of its support is empty")
-    print(f"  distance from the constraint set to 0: {res.residual:.4f}")
+    print(f"  {res.status} ({res.stop_reason}) after {res.iterations} iterations")
+    print(f"  the empty face holds only X = 0, whose marginal misses rho by {res.residual:.4f}")
     print("  (monogamy: a pure entangled state cannot share itself symmetrically)")
 
     print("\nhierarchy: a 3-copy witness traced down is a 2-copy witness:")

@@ -13,8 +13,8 @@ The library is organized around a small set of layers:
 - criteria: one-shot separability tests (PPT, reduction, entropic,
   majorization, cross norm), each one stacked rule, returning quantitative
   Verdicts.
-- symext: the symmetric-extension criterion as convex feasibility solved by
-  Dykstra-corrected alternating projections.
+- symext: the symmetric-extension criterion as convex feasibility, decided by
+  a dual quasi-Newton search that returns an extension or a Farkas witness.
 - tomography: IC-POVMs, linear-inversion reconstruction, and Monte-Carlo
   acceptance probabilities.
 - geometry: witness lower bounds, PPT-boundary bisection, the fidelity

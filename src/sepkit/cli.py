@@ -95,6 +95,7 @@ def _cmd_symext(args) -> tuple[dict, bool]:
         "witness_extension": None
         if res.witness_extension is None
         else matrix_to_obj(res.witness_extension, "hermitian"),
+        "farkas_witness": None if res.farkas_witness is None else matrix_to_obj(res.farkas_witness, "hermitian"),
     }
     return results, False
 

@@ -1,67 +1,60 @@
-"""Symmetric-extension feasibility via Dykstra-corrected alternating projections.
+"""Symmetric-extension feasibility by a dual quasi-Newton search with Farkas certificates.
 
 A state rho on A:B has a symmetric extension to k copies when some PSD
 operator X on A:B_1..B_k is invariant under every permutation of the B factors
-and has Tr_{B_2..B_k} X = rho. Membership is decided here by alternating
-projections between the affine set (permutation invariance + marginal
-constraint, projected in closed form) and the PSD cone, with Dykstra's
-correction on the cone side.
+and has Tr_{B_2..B_k} X = rho. Every PSD extension of a rank-deficient rho has
+its range inside S = ∩_j (supp rho)_{A B_j} ⊗ C^{dB^(k-1)}, so X is sought on
+the face {V Z V† : Z PSD}, V an orthonormal basis of S (facial reduction). An
+empty face (S = 0) means no extension exists. The support of rho and the null
+space that defines S are cut only across an unambiguous spectral gap; failing
+that, as for full-rank rho, the search runs on the full cone.
 
-Every PSD extension of a rank-deficient rho has its range inside
-S = ∩_j (supp rho)_{A B_j} ⊗ C^{dB^(k-1)}, so the cone side is the face
-{V Z V† : Z PSD} with V an orthonormal basis of S (facial reduction). A
-rank-deficient rho has no extension in the interior of the full cone, which
-stalls the projections there; on the face they converge. An empty face (S = 0)
-means no extension exists; it is reported as infeasible-evidence without
-iterating. The support of rho and the null space that defines S are cut only
-across an unambiguous spectral gap; failing that, as for full-rank rho, the
-search runs on the full cone.
-
-Beyond the empty face, infeasibility detection is heuristic: when the gap
-between the two projections stabilizes above tolerance, the result is
-reported as evidence, not proof; runs that neither converge nor stabilize are
-inconclusive.
-
-Block coordinates. Every iterate is invariant under permutations of the B
-factors, so by Schur–Weyl duality it is block diagonal,
-X = ⊕_λ X_λ ⊗ I_{f_λ}, over the Young diagrams λ ⊢ k with at most dB rows:
-X_λ acts on A ⊗ Q_λ, Q_λ the U(dB) irrep of dimension m_λ, and f_λ is the
+Block coordinates. A permutation-invariant X is block diagonal by Schur–Weyl
+duality, X = ⊕_λ X_λ ⊗ I_{f_λ}, over the Young diagrams λ ⊢ k with at most dB
+rows: X_λ acts on A ⊗ Q_λ, Q_λ the U(dB) irrep of dimension m_λ, and f_λ is the
 dimension of the S_k irrep. The search stores only the blocks
 X_λ = V_λ† X V_λ, V_λ = I_A ⊗ U_λ, where U_λ is an isometry onto one copy of
 Q_λ inside (C^dB)^{⊗k}: the joint eigenspace of the Jucys–Murphy elements
 X_j = Σ_{i<j} (i j) at the contents of λ's row-reading tableau, cut one factor
-at a time (the eigenvalues are integers, so every cut has a gap of 1). The PSD
-or face projection, the stop-check spectrum and the Frobenius gap split over
-the blocks, a block of multiplicity f counting f times in the norm; the affine
-step and the marginal pass through the B factor only, as products with the
-sparse matrix H_λ[(b,b'),(p,q)] = (1/k) Σ_j (U_λ† E_bb' on B_j U_λ)[p,q],
-which is nonzero only where the letter counts of p and q differ by b and b'.
-The face S is cut per block too. Dense dA·dB^k operators appear only at the
-start and in a returned witness. The default start symmetrize_b(rho ⊗
-rho_B^{⊗(k-1)}) is built as the mean of the product's k swaps of B_1 with
-B_j; a given start goes through symmetrize_b. Either is compressed to blocks
-once. A witness is expanded from its blocks and symmetrized, since reports
-carry it dense. The stop check takes block spectra only until one block falls
-below -tol. Iterates, stop tests and outcomes are those of the dense search;
-only rounding differs.
+at a time (the eigenvalues are integers, so every cut has a gap of 1). The map
+W -> symmetrize_b(W ⊗ I) from A:B operators to blocks (lift) and its adjoint,
+the marginal Tr_{B_2..B_k}, pass through the B factor only, as products with
+the sparse matrix H_λ[(b,b'),(p,q)] = (1/k) Σ_j (U_λ† E_bb' on B_j U_λ)[p,q].
+Norms weight a block by f_λ. The face S is cut per block too.
+
+The search (Malick's dual method for semidefinite least squares). For a
+Hermitian W on A:B let X(W) be the blockwise projection of X_0 + lift(W) onto
+the face (X_0 = 0 unless a start is given). L-BFGS with Armijo backtracking
+minimizes the convex dual F(W) = ½‖X(W)‖² − Re Tr(W rho), whose gradient is
+the marginal defect Tr_{B_2..B_k} X(W) − rho. X(W) is PSD on the face and
+permutation-invariant by construction, so it is an extension as soon as that
+defect is within tol. A rho with no extension makes F unbounded below, and W
+runs off along a Doherty–Parrilo–Spedalieri witness: once the largest
+eigenvalue μ of the face-compressed lift(W) falls below ℓ − tol‖W‖, with
+ℓ = Re Tr(W rho), the shifted W' = W/‖W‖ − (ℓ+μ)/2 · I (ℓ, μ of W/‖W‖;
+lift(I) = I) has Tr(W' rho) > tol/2 while symmetrize_b(W' ⊗ I) has no
+eigenvalue above −tol/2 on the face. Every extension X would give
+Tr(W' rho) = Tr(symmetrize_b(W' ⊗ I) X) < 0. Dense dA·dB^k operators appear
+only for a given start and in a returned extension, expanded from its blocks.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .linalg import DensityMatrix, partial_trace, tensor
-from .states import ProductEnsemble, check_total_dim
+from .states import ProductEnsemble, _check_count, check_total_dim
 
 DEFAULT_TOL = 1e-7
 DEFAULT_MAX_ITERS = 5000
-PLATEAU_WINDOW = 50
-PLATEAU_REL = 1e-6
+# L-BFGS keeps this many (step, gradient change) pairs
+LBFGS_MEMORY = 30
+# Armijo sufficient-decrease fraction of the predicted decrease
+ARMIJO = 1e-4
 # spectral cut for the face: relative to the largest eigenvalue, an eigenvalue
 # at or below SPECTRAL_ZERO is zero and one at or above SPECTRAL_SUPPORT is
 # not; one in between makes the cut ambiguous and the search keeps the full cone
@@ -80,7 +73,7 @@ class ExtensionProblem:
     copies: int
 
     def __post_init__(self) -> None:
-        if self.copies < 2:
+        if _check_count("copies", self.copies) < 2:
             raise ValueError("symmetric extension needs k >= 2 copies")
         check_total_dim(self.total_dim)
 
@@ -104,10 +97,13 @@ class FeasibilityResult:
     iterations: int
     witness_extension: np.ndarray | None = None
     tol: float = DEFAULT_TOL
-    # psd-within-tol | marginal-within-tol | plateau | empty-face | max-iters
+    # marginal-within-tol | farkas | empty-face | max-iters
     stop_reason: str = "max-iters"
     # (block size dA·m_λ, multiplicity f_λ, face dimension) per Young diagram
     blocks: tuple[tuple[int, int, int], ...] = ()
+    # on a farkas stop, a Hermitian W' on A:B with Tr(W' rho) > 0 and
+    # symmetrize_b(W' ⊗ I) negative definite on the searched face
+    farkas_witness: np.ndarray | None = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -315,19 +311,6 @@ def _expand(s: np.ndarray, sw: SchurWeylBlocks, problem: ExtensionProblem) -> np
     return symmetrize_b(acc.reshape(n, n), problem)
 
 
-def _gram_inverse(db: int, k: int) -> np.ndarray:
-    """Inverse of the marginal constraint's Gram map, acting on regrouped A:B operators from the right.
-
-    On symmetric operators the Gram map is alpha I + beta * db * P with
-    P(Y) = Tr_B(Y) ⊗ I/db.
-    """
-    alpha = db ** (k - 1) / k
-    beta = (k - 1) * db ** (k - 2) / k
-    gamma = beta * db / (alpha + beta * db)
-    e = np.eye(db).reshape(-1)
-    return (np.eye(db * db) - gamma / db * np.outer(e, e)) / alpha
-
-
 def symmetrize_b(x: np.ndarray, problem: ExtensionProblem) -> np.ndarray:
     """Group average (1/k!) sum_pi P_pi X P_pi over permutations of the B factors.
 
@@ -361,24 +344,9 @@ def _swap_b(x: np.ndarray, problem: ExtensionProblem, i: int, j: int) -> np.ndar
     return x.reshape(x.shape[:-2] + shape + shape).transpose(axes).reshape(x.shape)
 
 
-def _product_start(problem: ExtensionProblem) -> np.ndarray:
-    """symmetrize_b(rho ⊗ rho_B^{⊗(k-1)}) as (1/k) Σ_j rho on A:B_j ⊗ rho_B on the other copies.
-
-    The product's orbit under the B permutations is its swaps of B_1 with B_j,
-    so this takes k-1 transposes where symmetrize_b takes k(k-1)/2.
-    """
-    x, rho_b = problem.base.mat, problem.base.marginal("B")
-    for _ in range(problem.copies - 1):
-        x = tensor(x, rho_b)
-    acc = x.copy()
-    for j in range(2, problem.copies + 1):
-        acc += _swap_b(x, problem, 1, j)
-    return acc / problem.copies
-
-
 def extend_separable(ens: ProductEnsemble, k: int) -> np.ndarray:
     """Explicit extension sum_i p_i sigma_i ⊗ tau_i^{⊗k} of a known-separable state (a stack for a stack)."""
-    if k < 2:
+    if _check_count("k", k) < 2:
         raise ValueError("symmetric extension needs k >= 2 copies")
     da, db = ens.dims
     total = da * db**k
@@ -403,8 +371,8 @@ def project_affine(x: np.ndarray, problem: ExtensionProblem) -> np.ndarray:
 
     Projects onto the symmetric subspace first, then applies the exact
     closed-form correction for the marginal constraint (the normal equation
-    of the partial-trace map restricted to symmetric operators). Dense; the
-    search takes the same step in block coordinates.
+    of the partial-trace map restricted to symmetric operators). Dense; a
+    reference for the block maps, not used by the search.
     """
     da, db, k = problem.dim_a, problem.dim_b, problem.copies
     xs = symmetrize_b(x, problem)
@@ -426,12 +394,6 @@ def project_psd(x: np.ndarray) -> np.ndarray:
     vals, vecs = np.linalg.eigh(x)
     clipped = np.clip(vals, 0.0, None)
     y = (vecs * clipped) @ vecs.conj().T
-    return 0.5 * (y + y.conj().T)
-
-
-def project_face(x: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """Nearest point of the face {V Z V† : Z PSD} in Frobenius norm, V = basis (orthonormal columns)."""
-    y = basis @ project_psd(basis.conj().T @ x @ basis) @ basis.conj().T
     return 0.5 * (y + y.conj().T)
 
 
@@ -484,6 +446,47 @@ def verify_extension(x: np.ndarray, rho: DensityMatrix, k: int) -> dict:
     }
 
 
+def _project_blocks(z: np.ndarray, sw: SchurWeylBlocks, faces: list, da: int) -> tuple[np.ndarray, float]:
+    """The nearest point of the face to the stacked blocks z, and the largest eigenvalue of z compressed to the face."""
+    x = np.zeros_like(z)
+    top = -np.inf
+    for lo, hi, m, basis in zip(sw.offsets, sw.offsets[1:], sw.irrep_dims, faces):
+        # a block whose face is {0} stays 0
+        if basis is not None and not basis.shape[1]:
+            continue
+        blk = _ungroup(z[:, lo:hi], da, m)
+        if basis is not None:
+            blk = basis.conj().T @ blk @ basis
+        vals, vecs = np.linalg.eigh(blk)
+        top = max(top, vals[-1])
+        # a PSD block is kept as it is, free of the rebuild's rounding
+        if vals[0] < 0.0:
+            blk = (vecs * np.clip(vals, 0.0, None)) @ vecs.conj().T
+        if basis is not None:
+            blk = basis @ blk @ basis.conj().T
+        x[:, lo:hi] = _regroup(0.5 * (blk + blk.conj().T), da, m)
+    return x, top
+
+
+def _lbfgs_step(grad: np.ndarray, pairs: list, scale: float) -> np.ndarray:
+    """-H grad for the L-BFGS inverse-Hessian estimate H of the (step, gradient change, curvature) pairs.
+
+    H starts as scale·I without pairs and as the last pair's curvature ratio
+    with them (Nocedal–Wright, Algorithm 7.4), in the real inner product Re⟨·,·⟩.
+    """
+    q = -grad
+    alphas = []
+    for s, y, sy in reversed(pairs):
+        alphas.append(np.vdot(s, q).real / sy)
+        q = q - alphas[-1] * y
+    if pairs:
+        scale = pairs[-1][2] / np.vdot(pairs[-1][1], pairs[-1][1]).real
+    q = scale * q
+    for (s, y, sy), alpha in zip(pairs, reversed(alphas)):
+        q = q + (alpha - np.vdot(y, q).real / sy) * s
+    return q
+
+
 def has_symmetric_extension(
     rho: DensityMatrix,
     k: int,
@@ -491,25 +494,30 @@ def has_symmetric_extension(
     tol: float = DEFAULT_TOL,
     start: np.ndarray | None = None,
 ) -> FeasibilityResult:
-    """Search for a k-copy symmetric extension of rho by alternating projections.
+    """Search for a k-copy symmetric extension of rho by the dual search of the module docstring.
 
-    The cone side is the face of rho's support (see support_face); for
-    full-rank rho, or when the spectrum gives no clear cut, it is the full PSD
-    cone. Returns infeasible-evidence after 0 iterations when the face is
-    {0}, with the distance from the affine set to 0 as residual. Otherwise
-    returns feasible with a witness once an iterate satisfies both constraint
-    families within tol (the affine-exact iterate PSD to within tol, or the
-    PSD-exact iterate matching the marginal to within tol); returns
-    infeasible-evidence when the inter-set gap stabilizes above tol over a
-    50-iteration window; otherwise inconclusive at max_iters. The result
-    names its stop_reason and, per Young diagram, the block size, multiplicity
-    and face dimension searched. A start is symmetrized over the B factors
-    before use. Raises ValueError unless tol is finite and > 0,
-    max_iters >= 1 and start is finite with shape (dA·dB^k, dA·dB^k).
+    The search runs on the face of rho's support (see support_face), or on the
+    full PSD cone for full-rank rho or an ambiguous spectral cut, from X_0 = 0
+    or from the given start symmetrized over the B factors. Each iteration
+    evaluates X(W) once, line-search trials included. It ends (status,
+    stop_reason):
+    - infeasible-evidence, empty-face: the face is {0}, after 0 iterations;
+    - feasible, marginal-within-tol: witness_extension X(W) has its marginal
+      within tol of rho;
+    - infeasible-evidence, farkas: farkas_witness W' has Tr(W' rho) and
+      -λ_max(symmetrize_b(W' ⊗ I)) above tol/2. On a face cut from rho's
+      spectrum, λ_max is taken on that face, whose dimensions blocks reports;
+    - inconclusive, max-iters.
+    residual is ‖rho − Tr_{B_2..B_k} X(W)‖_F at the last X(W) (‖rho‖_F on the
+    empty face); blocks lists the block size, multiplicity and face dimension
+    searched per Young diagram. Raises ValueError unless k >= 2 and
+    max_iters >= 1 are integers, tol is finite and > 0, and start is finite
+    with shape (dA·dB^k, dA·dB^k).
     """
     # written to fail on a NaN tol
     if not (0.0 < tol < np.inf and max_iters >= 1):
         raise ValueError(f"need a finite tol > 0 and max_iters >= 1, got {tol} and {max_iters}")
+    k, max_iters = _check_count("k", k), _check_count("max_iters", max_iters)
     if start is not None and not np.all(np.isfinite(start)):
         raise ValueError("start holds NaN or Inf")
     problem = ExtensionProblem(rho, k)
@@ -517,61 +525,51 @@ def has_symmetric_extension(
     if start is not None and np.shape(start) != (n, n):
         raise ValueError(f"start has shape {np.shape(start)}, expected {(n, n)}")
     sw = schur_weyl_blocks(db, k)
-    sizes = [da * m for m in sw.irrep_dims]
     # per block, the face basis, or None on the full cone
-    faces = support_face(problem, sw) or [None] * len(sizes)
+    faces = support_face(problem, sw) or [None] * len(sw.irrep_dims)
     blocks = tuple(
-        (size, f, size if b is None else b.shape[1]) for size, f, b in zip(sizes, sw.multiplicities, faces)
+        (da * m, f, da * m if b is None else b.shape[1]) for m, f, b in zip(sw.irrep_dims, sw.multiplicities, faces)
     )
-    rho_r = _regroup(rho.mat, da, db)
-    gram = _gram_inverse(db, k)
     if not any(face_dim for _, _, face_dim in blocks):
-        # the distance from 0 to the affine set, whose point nearest 0 is the affine step from 0
-        residual = float(np.linalg.norm(sw.lift(rho_r @ gram) * sw.weights))
-        return FeasibilityResult("infeasible-evidence", residual, 0, None, tol, "empty-face", blocks)
-    if start is None:
-        x = _product_start(problem)
-    else:
-        x = np.asarray(start, dtype=complex)
-        x = symmetrize_b(0.5 * (x + x.conj().T), problem)
-    x = _compress(x, sw, da)
-    parts = [(slice(lo, hi), m, b) for lo, hi, m, b in zip(sw.offsets, sw.offsets[1:], sw.irrep_dims, faces)]
-    defect = rho_r - sw.marginal(x)
-    correction = np.zeros_like(x)
-    window: deque[float] = deque(maxlen=PLATEAU_WINDOW)
+        return FeasibilityResult(
+            "infeasible-evidence", float(np.linalg.norm(rho.mat)), 0, None, tol, "empty-face", blocks
+        )
+    x0 = 0.0
+    if start is not None:
+        x0 = _compress(symmetrize_b(0.5 * (start + np.conj(start).T), problem), sw, da)
+    rho_r = _regroup(rho.mat, da, db)
+    # away from the cone's boundary F is quadratic with largest curvature dB^(k-1)
+    scale = 1.0 / db ** (k - 1)
+    w = step = last_grad = np.zeros_like(rho_r)
+    last, slope, t, pairs = np.inf, 0.0, 1.0, []
     for it in range(1, max_iters + 1):
-        y = x + sw.lift(defect @ gram)
-        z = y + correction
-        x = np.zeros_like(z)
-        y_min = np.inf
-        for cols, m, basis in parts:
-            # once a block is below -tol this iteration cannot stop as feasible
-            if y_min >= -tol:
-                y_min = min(y_min, np.linalg.eigvalsh(_ungroup(y[:, cols], da, m))[0])
-            # a block whose face is {0} stays 0
-            if basis is None or basis.shape[1]:
-                z_blk = _ungroup(z[:, cols], da, m)
-                x_blk = project_psd(z_blk) if basis is None else project_face(z_blk, basis)
-                x[:, cols] = _regroup(x_blk, da, m)
-        correction = z - x
-        gap = float(np.linalg.norm((x - y) * sw.weights))
-        window.append(gap)
-        # y satisfies the affine constraints exactly; feasible once it is PSD
-        # within tol. x is PSD, and permutation-invariant by construction;
-        # feasible once its marginal matches within tol. That marginal's
-        # defect drives the next iteration's affine step.
-        if y_min >= -tol:
-            witness = _expand(y, sw, problem)
+        trial = w + t * step
+        x, top = _project_blocks(x0 + sw.lift(trial), sw, faces, da)
+        grad = sw.marginal(x) - rho_r
+        residual = float(np.linalg.norm(grad))
+        if residual <= tol:
             return FeasibilityResult(
-                "feasible", max(0.0, -float(y_min)), it, witness, tol, "psd-within-tol", blocks
+                "feasible", residual, it, _expand(x, sw, problem), tol, "marginal-within-tol", blocks
             )
-        defect = rho_r - sw.marginal(x)
-        marg = float(np.linalg.norm(defect))
-        if marg <= tol:
-            witness = _expand(x, sw, problem)
-            return FeasibilityResult("feasible", marg, it, witness, tol, "marginal-within-tol", blocks)
-        if it >= PLATEAU_WINDOW:
-            lo, hi = min(window), max(window)
-            if lo > tol and (hi - lo) <= PLATEAU_REL * hi:
-                return FeasibilityResult("infeasible-evidence", gap, it, None, tol, "plateau", blocks)
-    return FeasibilityResult("inconclusive", gap, max_iters, None, tol, "max-iters", blocks)
+        ell = np.vdot(trial, rho_r).real
+        # with a start, X(W) is not the projection of lift(W) alone
+        mu = top if start is None else _project_blocks(sw.lift(trial), sw, faces, da)[1]
+        # both margins of W' are then above tol/2, far from rounding
+        if mu < ell - tol * np.linalg.norm(trial):
+            farkas = _ungroup(trial, da, db)
+            farkas = 0.5 * (farkas + farkas.conj().T) - 0.5 * (ell + mu) * np.eye(da * db)
+            return FeasibilityResult(
+                "infeasible-evidence", residual, it, None, tol, "farkas", blocks, farkas / np.linalg.norm(trial)
+            )
+        value = 0.5 * float(np.linalg.norm(x * sw.weights)) ** 2 - ell
+        if value > last + ARMIJO * t * slope:
+            t /= 2
+            continue
+        s_step, y_step = trial - w, grad - last_grad
+        curvature = np.vdot(s_step, y_step).real
+        if curvature > 0.0:
+            pairs = [*pairs[1 - LBFGS_MEMORY :], (s_step, y_step, curvature)]
+        w, last, last_grad = trial, value, grad
+        step = _lbfgs_step(grad, pairs, scale)
+        slope, t = np.vdot(grad, step).real, 1.0
+    return FeasibilityResult("inconclusive", residual, max_iters, None, tol, "max-iters", blocks)

@@ -119,6 +119,19 @@ class TestSymextCommand:
         res = parse_report(out)["results"]
         assert res["status"] == "feasible"
         assert res["witness_extension"] is not None
+        assert res["farkas_witness"] is None
+
+    def test_farkas_witness_reported(self, capsys):
+        code, out, _ = run_cli(capsys, "symext", "--state", "isotropic:2:0.8", "--k", "2", "--json")
+        assert code == 0
+        res = parse_report(out)["results"]
+        assert (res["status"], res["stop_reason"]) == ("infeasible-evidence", "farkas")
+        assert res["witness_extension"] is None
+        doc = res["farkas_witness"]
+        assert doc["kind"] == "hermitian"
+        w = np.asarray(doc["re"]) + 1j * np.asarray(doc["im"])
+        rho = sepkit.states.segment_state(sepkit.states.maximally_mixed((2, 2)), 0.8)
+        assert np.trace(w @ rho.mat).real > 0.04
 
     def test_maxent_infeasible(self, capsys):
         code, out, _ = run_cli(capsys, "symext", "--state", "maxent:2", "--k", "2", "--json")
@@ -136,7 +149,7 @@ class TestSymextCommand:
         code, out, _ = run_cli(capsys, "criteria", "--state", "isotropic:2:0.8", "--only", "symext", "--json")
         assert code == 0
         details = parse_report(out)["results"]["verdicts"][0]["details"]
-        assert details["stop_reason"] == "plateau"
+        assert details["stop_reason"] == "farkas"
         assert [b["size"] for b in details["blocks"]] == [6, 2]
 
 

@@ -205,10 +205,10 @@ class TestFeasibility:
         sw = schur_weyl_blocks(2, k)
         assert [b.shape[1] for b in support_face(problem, sw)] == [0] * len(sw.multiplicities)
         res = has_symmetric_extension(rho, k)
-        assert res.status == "infeasible-evidence"
-        assert res.iterations == 0
-        zero = np.zeros((problem.total_dim, problem.total_dim))
-        assert res.residual == pytest.approx(np.linalg.norm(project_affine(zero, problem)))
+        assert (res.status, res.iterations, res.stop_reason) == ("infeasible-evidence", 0, "empty-face")
+        assert res.farkas_witness is None
+        # X = 0 is all the empty face holds: the marginal defect is rho itself
+        assert res.residual == pytest.approx(np.linalg.norm(rho.mat), rel=1e-15)
 
     def test_face_holds_explicit_extension(self):
         state, ens = random_separable((2, 3), 3, 4)
@@ -238,16 +238,24 @@ class TestFeasibility:
         assert res.witness_extension is None
         assert res.residual > 0.1  # the gap is macroscopic for Phi(2)
 
-    def test_isotropic_plateau_window(self):
-        res = has_symmetric_extension(segment_state(maximally_mixed((2, 2)), 0.8), 2)
-        assert res.status == "infeasible-evidence"
-        assert res.iterations == 58
-        assert res.residual == pytest.approx(0.0603, abs=1e-4)
+    def test_isotropic_farkas_certificate(self):
+        # full rank, so the face is the full cone and W' holds on the whole space
+        rho = segment_state(maximally_mixed((2, 2)), 0.8)
+        res = has_symmetric_extension(rho, 2)
+        assert (res.status, res.iterations, res.stop_reason) == ("infeasible-evidence", 2, "farkas")
+        assert res.residual == pytest.approx(0.34641016151377546, rel=1e-9)
+        w = res.farkas_witness
+        lifted = symmetrize_b(tensor(w, np.eye(2)), ExtensionProblem(rho, 2))
+        inside, top = np.trace(w @ rho.mat).real, np.linalg.eigvalsh(lifted)[-1]
+        # the shift by (ℓ + μ)/2 splits the margin evenly
+        assert inside == pytest.approx(-top, rel=1e-9)
+        assert inside > 0.04
 
     def test_maximally_mixed_three_copies(self):
+        # the first evaluation is X(0) = 0; the first step lands on W = rho / dB^2 and X = I/16
         res = has_symmetric_extension(maximally_mixed((2, 2)), 3)
-        assert res.status == "feasible"
-        assert res.iterations <= 1
+        assert (res.status, res.iterations) == ("feasible", 2)
+        assert np.max(np.abs(res.witness_extension - np.eye(16) / 16)) <= 1e-15
 
     def test_monotone_hierarchy_trace_down(self):
         state, ens = random_separable((2, 2), 3, 12)
@@ -285,6 +293,23 @@ class TestFeasibility:
         with pytest.raises(ValueError, match="need a finite tol > 0 and max_iters >= 1"):
             has_symmetric_extension(state, 2, **kwargs)
 
+    @pytest.mark.parametrize(
+        "call, name",
+        [
+            (lambda state, ens: has_symmetric_extension(state, 2, max_iters=True), "max_iters"),
+            (lambda state, ens: has_symmetric_extension(state, 2, max_iters=2.5), "max_iters"),
+            (lambda state, ens: has_symmetric_extension(state, 2.0), "k"),
+            (lambda state, ens: has_symmetric_extension(state, True), "k"),
+            (lambda state, ens: extend_separable(ens, 2.0), "k"),
+            (lambda state, ens: ExtensionProblem(state, 2.0), "copies"),
+        ],
+        ids=["max_iters-bool", "max_iters-float", "k-float", "k-bool", "extend-k-float", "problem-copies-float"],
+    )
+    def test_rejects_non_integer_counts(self, call, name):
+        state, ens = random_separable((2, 2), 3, 1)
+        with pytest.raises(ValueError, match=f"^{name} must be a positive integer"):
+            call(state, ens)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_rejects_non_finite_start(self, bad):
         state, ens = random_separable((2, 2), 3, 1)
@@ -301,17 +326,21 @@ class TestFeasibility:
             has_symmetric_extension(state, 2, start=np.zeros((3, 4)))
 
     def test_start_symmetrized_before_use(self):
-        # a start that is not permutation-invariant: the dense search reached
-        # feasible after 249 iterations from it
+        # a start that is not permutation-invariant: the search reached
+        # feasible after 26 iterations from its symmetrization
         state, _ = random_separable((2, 2), 4, 7)
-        res = has_symmetric_extension(state, 3, start=random_density(16, 3).mat)
-        assert (res.status, res.iterations) == ("feasible", 249)
+        start = random_density(16, 3).mat
+        res = has_symmetric_extension(state, 3, start=start)
+        assert (res.status, res.iterations) == ("feasible", 26)
+        symmetrized = has_symmetric_extension(state, 3, start=symmetrize_b(start, ExtensionProblem(state, 3)))
+        assert symmetrized.iterations == 26
+        assert np.max(np.abs(symmetrized.witness_extension - res.witness_extension)) <= 1e-12
 
     def test_marginal_stop_reason(self):
-        # the dense search stopped here on the PSD iterate's marginal, iteration 3
+        # recorded: the marginal of X(W) comes within the loose tol at iteration 7
         state, _ = random_separable((2, 2), 4, 32)
         res = has_symmetric_extension(state, 2, tol=1e-2)
-        assert (res.status, res.iterations, res.stop_reason) == ("feasible", 3, "marginal-within-tol")
+        assert (res.status, res.iterations, res.stop_reason) == ("feasible", 7, "marginal-within-tol")
         assert verify_extension(res.witness_extension, state, 2)["marginal_residual"] <= 1e-2
 
     def test_blocks_report_face(self):
@@ -356,8 +385,16 @@ def singular_b_state(da, db, seed):
     return DensityMatrix(m / np.trace(m).real, (da, db))
 
 
+def product_start(rho, k):
+    """rho ⊗ rho_B^{⊗(k-1)}, a start that is not permutation-invariant."""
+    product = rho.mat
+    for _ in range(k - 1):
+        product = tensor(product, rho.marginal("B"))
+    return product
+
+
 class TestProductStart:
-    """The default start is symmetrize_b(rho ⊗ rho_B^{⊗(k-1)}), built from k-1 swaps."""
+    """A given start enters the search once, as the blocks of its symmetrization."""
 
     @pytest.mark.parametrize(
         "dims, k", [((2, 2), 2), ((2, 2), 3), ((2, 2), 4), ((2, 2), 5), ((2, 3), 5), ((3, 3), 4)]
@@ -367,44 +404,24 @@ class TestProductStart:
         rho = singular_b_state(*dims, 5) if singular else random_density(dims[0] * dims[1], 5, dims)
         assert (np.linalg.matrix_rank(rho.marginal("B")) < dims[1]) == singular
         problem = ExtensionProblem(rho, k)
-        product = rho.mat
-        for _ in range(k - 1):
-            product = tensor(product, rho.marginal("B"))
         sw = schur_weyl_blocks(dims[1], k)
-        expected = sepkit.symext._compress(symmetrize_b(product, problem), sw, dims[0])
-        got = sepkit.symext._compress(sepkit.symext._product_start(problem), sw, dims[0])
-        assert np.max(np.abs(got - expected)) <= 1e-14
+        symmetrized = symmetrize_b(product_start(rho, k), problem)
+        blocks = sepkit.symext._compress(symmetrized, sw, dims[0])
+        # the blocks lose nothing of the symmetrized product
+        assert np.max(np.abs(sepkit.symext._expand(blocks, sw, problem) - symmetrized)) <= 1e-14
+        # its marginal is (rho + (k-1) rho_A ⊗ rho_B) / k
+        expected = (rho.mat + (k - 1) * tensor(rho.marginal("A"), rho.marginal("B"))) / k
+        assert np.max(np.abs(sw.marginal(blocks) - regroup(expected, *dims))) <= 1e-14
 
     @pytest.mark.parametrize("dims, k", [((2, 2), 3), ((2, 3), 3)])
     def test_search_starts_from_symmetrized_product(self, dims, k):
         rho = random_density(dims[0] * dims[1], 6, dims)
-        product = rho.mat
-        for _ in range(k - 1):
-            product = tensor(product, rho.marginal("B"))
-        default = has_symmetric_extension(rho, k, max_iters=3)
+        product = product_start(rho, k)
         given = has_symmetric_extension(rho, k, max_iters=3, start=product)
-        assert (default.status, default.iterations) == (given.status, given.iterations)
-        assert default.residual == pytest.approx(given.residual, rel=1e-9)
-
-
-def test_stop_check_ends_at_first_failing_block(monkeypatch):
-    # every iterate of this search has a block below -tol, so the feasibility
-    # check needs one spectrum per iteration, not one per block (4 blocks)
-    spec = "sep:3:3:20:448415"
-    rho = parse_state_spec(spec).state
-    schur_weyl_blocks(3, 4)
-    calls = []
-
-    def counted(a, *args, _eigvalsh=np.linalg.eigvalsh, **kwargs):
-        calls.append(np.shape(a))
-        return _eigvalsh(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
-    res = has_symmetric_extension(rho, 4, max_iters=60)
-    assert len(calls) < 60 * 4
-    # the outcome recorded before the check was cut short
-    assert (res.status, res.iterations, res.stop_reason) == ("inconclusive", 60, "max-iters")
-    assert res.residual == pytest.approx(2.3526535263975485e-03, rel=1e-6)
+        start = symmetrize_b(product, ExtensionProblem(rho, k))
+        symmetrized = has_symmetric_extension(rho, k, max_iters=3, start=start)
+        assert (given.status, given.iterations) == (symmetrized.status, symmetrized.iterations)
+        assert given.residual == pytest.approx(symmetrized.residual, rel=1e-9)
 
 
 def random_invariant(rng, dims, k):
@@ -444,8 +461,9 @@ class TestSchurWeylBlocks:
         sw = schur_weyl_blocks(18, 2)
         assert sw.irrep_dims == (171, 153)
         assert sw.lift.vals.size < 18**2 * sum(m * m for m in sw.irrep_dims) / 1000
-        res = has_symmetric_extension(maximally_mixed((2, 18)), 2, max_iters=1)
-        assert (res.status, res.iterations) == ("feasible", 1)
+        # X(0) = 0, then W = rho / dB lands on X = I/648
+        res = has_symmetric_extension(maximally_mixed((2, 18)), 2, max_iters=2)
+        assert (res.status, res.iterations) == ("feasible", 2)
         assert res.blocks == ((342, 1, 342), (306, 1, 306))
 
     def test_cached_read_only(self):
@@ -486,34 +504,34 @@ class TestSchurWeylBlocks:
         assert np.linalg.norm(stack(x) * sw.weights) == pytest.approx(np.linalg.norm(x), rel=1e-12)
 
     @pytest.mark.parametrize("da, db, k", [(2, 2, 3), (2, 3, 3), (3, 3, 2), (2, 2, 5), (1, 3, 4)])
-    def test_affine_step_matches_dense_projection(self, da, db, k):
+    def test_lift_is_adjoint_to_marginal(self, da, db, k):
+        # Σ_λ f_λ <lift(w)_λ, X_λ> = <w, marginal(X)>: the gradient of the dual search is the marginal defect
         rng = np.random.default_rng(22)
-        problem = ExtensionProblem(random_density(da * db, 5, (da, db)), k)
-        x = symmetrize_b(rand_op(rng, problem.total_dim), problem)
         sw = schur_weyl_blocks(db, k)
-        stacked = sepkit.symext._compress(x, sw, da)
-        defect = regroup(problem.base.mat, da, db) - sw.marginal(stacked)
-        step = stacked + sw.lift(defect @ sepkit.symext._gram_inverse(db, k))
-        dense = project_affine(x, problem)
-        assert np.max(np.abs(sepkit.symext._expand(step, sw, problem) - dense)) <= 1e-12 * np.linalg.norm(x)
+        for _ in range(3):
+            w = rng.standard_normal((da * da, db * db)) + 1j * rng.standard_normal((da * da, db * db))
+            x = rng.standard_normal((da * da, sw.offsets[-1])) + 1j * rng.standard_normal((da * da, sw.offsets[-1]))
+            lhs = np.vdot(sw.lift(w) * sw.weights**2, x)
+            assert lhs == pytest.approx(np.vdot(w, sw.marginal(x)), rel=1e-12)
 
 
-# Outcomes of the dense search these inputs were recorded from (status,
-# iterations, residual); the block search reaches them to rounding and names
-# the stop reason in the last column.
+# Outcomes of the dual search (status, iterations, residual, stop reason),
+# recorded from it; the capped searches are the symext_deep benchmark's.
 RECORDED = [
-    ("maxent:3", 3, None, "infeasible-evidence", 0, 0.5555555555555564, "empty-face"),
-    ("sep:3:3:5:643261", 3, "warm", "feasible", 1, 2.509447000588869e-16, "psd-within-tol"),
-    ("sep:3:3:20:448415", 4, 60, "inconclusive", 60, 2.3526535263975485e-03, "max-iters"),
-    ("random:2:3:938409", 5, 10, "inconclusive", 10, 1.0398307160587839e-02, "max-iters"),
-    ("isotropic:3:0.2", 4, None, "feasible", 1, 0.0, "psd-within-tol"),
-    ("sep:2:2:3:331873", 3, None, "feasible", 38, 8.144443268225503e-08, "psd-within-tol"),
-    ("sep:2:3:4:362182", 2, None, "inconclusive", 5000, 2.7232406665118273e-04, "max-iters"),
-    ("tiles", 2, None, "feasible", 83, 8.837055534926892e-08, "psd-within-tol"),
+    ("maxent:3", 3, None, "infeasible-evidence", 0, 1.0000000000000002, "empty-face"),
+    ("sep:3:3:5:643261", 3, "warm", "feasible", 1, 3.609144131737731e-15, "marginal-within-tol"),
+    ("sep:3:3:20:448415", 4, 60, "inconclusive", 60, 9.150316841128067e-07, "max-iters"),
+    ("random:2:3:938409", 5, 10, "inconclusive", 10, 0.15321739970485115, "max-iters"),
+    ("isotropic:3:0.2", 4, None, "feasible", 8, 6.255307699894506e-10, "marginal-within-tol"),
+    ("sep:2:2:3:331873", 3, None, "feasible", 17, 5.911234971367118e-08, "marginal-within-tol"),
+    ("sep:2:3:4:362182", 2, None, "feasible", 46, 3.368494930728899e-08, "marginal-within-tol"),
+    ("tiles", 2, None, "feasible", 10, 7.159869766678854e-08, "marginal-within-tol"),
 ]
 
 
-@pytest.mark.parametrize("spec, k, option, status, iterations, residual, reason", RECORDED)
+@pytest.mark.parametrize(
+    "spec, k, option, status, iterations, residual, reason", RECORDED, ids=[f"{r[0]}-k{r[1]}" for r in RECORDED]
+)
 def test_recorded_outcomes(spec, k, option, status, iterations, residual, reason):
     parsed = parse_state_spec(spec)
     if option == "warm":
