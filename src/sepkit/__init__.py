@@ -51,7 +51,6 @@ from .linalg import (
     partial_transpose,
     permute_systems,
     psd_margin,
-    pure_fidelity,
     realign,
     singular_values,
     tensor,
@@ -61,8 +60,6 @@ from .closure import bipartite_product, closure_check, closure_sweep, symext_clo
 from .states import (
     Ensemble,
     ProductEnsemble,
-    antisym_vector,
-    haar_unitary,
     max_entangled,
     max_entangled_vector,
     maximally_mixed,

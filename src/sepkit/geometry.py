@@ -18,7 +18,7 @@ import numpy as np
 from .criteria import ppt_test
 from .linalg import DensityMatrix, is_hermitian, partial_transpose, trace_distance
 from .productopt import max_overlap_with_vector
-from .states import Ensemble, _segment_mix, max_entangled, max_entangled_vector, segment_state
+from .states import Ensemble, _check_count, _segment_mix, max_entangled, max_entangled_vector, segment_state
 from .tomography import Povm, acceptance_probability, default_product_povm, mixture_acceptance
 
 BISECT_TOL = 1e-6
@@ -196,8 +196,9 @@ def farness_certificate(
     Members at trace distance >= eps from rho are flagged; only those drive
     the bound toward its large-n limit.
     """
-    if trials < 1:
+    if isinstance(trials, numbers.Integral) and trials < 1:
         raise ValueError("need at least one trial")
+    trials = _check_count("trials", trials)
     if not n_list:
         raise ValueError("need at least one n")
     if ens.dims != rho.dims:

@@ -232,14 +232,3 @@ def trace_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     vals = np.linalg.eigvalsh(rho.mat - sigma.mat)
     return 0.5 * float(np.sum(np.abs(vals)))
 
-
-def pure_fidelity(sigma: DensityMatrix, psi: np.ndarray) -> float:
-    """Fidelity sqrt(<psi|sigma|psi>) between a state and a unit vector."""
-    psi = np.asarray(psi, dtype=complex).reshape(-1)
-    nrm = float(np.linalg.norm(psi))
-    if abs(nrm - 1.0) > 1e-10:
-        raise ValueError(f"state vector norm {nrm} is not 1 within 1e-10")
-    if psi.shape[0] != sigma.dim:
-        raise ValueError(f"vector length {psi.shape[0]} does not match state dim {sigma.dim}")
-    overlap = float(np.real(psi.conj() @ sigma.mat @ psi))
-    return float(np.sqrt(max(overlap, 0.0)))

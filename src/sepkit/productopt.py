@@ -1,9 +1,9 @@
 """Overlaps of product unit vectors |a> ⊗ |b> with given vectors.
 
-The maximum overlap with one vector is exact (a singular value); the minimum
-over a span is found by multi-start alternating optimization. Whether a set
-of product vectors is unextendible is decided exactly by a general-position
-test on their local parts.
+The maximum overlap with one vector is exact (a singular value). Whether a
+set of product vectors is unextendible is decided exactly by a general-position
+test on their local parts. The minimum over a span is only bounded from above,
+by multi-start alternating optimization.
 """
 
 from __future__ import annotations
@@ -40,10 +40,11 @@ def min_overlap_with_span(
     starts: int = 64,
     seed: int = 0,
 ) -> float:
-    """Minimize sum_k |<psi_k|a ⊗ b>|^2 over product unit vectors.
+    """Heuristic minimum of sum_k |<psi_k|a ⊗ b>|^2 over product unit vectors.
 
-    A strictly positive minimum certifies that no product vector lies in the
-    orthocomplement of span{psi_k} (the unextendibility certificate).
+    The value is the best of the starts, an upper bound on the true minimum,
+    so it certifies nothing; upb_general_position decides unextendibility
+    exactly. It is kept for the `screen` workload in perfbench/.
     """
     da, db = dims
     proj = np.zeros((da * db, da * db), dtype=complex)

@@ -95,21 +95,6 @@ def obj_to_density(obj: dict[str, Any]) -> DensityMatrix:
     return rho
 
 
-def save_matrix(path: str, m: np.ndarray, kind: str = "matrix", dims=None) -> None:
-    with open(path, "w") as fh:
-        json.dump(matrix_to_obj(m, kind, dims), fh)
-        fh.write("\n")
-
-
-def save_density(path: str, rho: DensityMatrix) -> None:
-    save_matrix(path, rho.mat, "density", rho.dims)
-
-
-def load_matrix(path: str) -> tuple[str, np.ndarray, tuple[int, int] | None]:
-    with open(path) as fh:
-        return obj_to_matrix(json.load(fh))
-
-
 def load_density(path: str) -> DensityMatrix:
     with open(path) as fh:
         return obj_to_density(json.load(fh))

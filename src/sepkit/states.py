@@ -142,16 +142,6 @@ def max_entangled(d: int) -> DensityMatrix:
     return DensityMatrix.from_vector(max_entangled_vector(d), (d, d))
 
 
-def antisym_vector(i: int, j: int, d: int) -> np.ndarray:
-    """(|i>|j> - |j>|i>)/sqrt(2) on a d x d bipartite space; requires 0 <= i < j < d."""
-    if not (0 <= i < j < d):
-        raise ValueError(f"need 0 <= i < j < d, got i={i}, j={j}, d={d}")
-    v = np.zeros(d * d, dtype=complex)
-    v[i * d + j] = 1.0 / np.sqrt(2.0)
-    v[j * d + i] = -1.0 / np.sqrt(2.0)
-    return v
-
-
 def segment_state(rho: DensityMatrix, t: float) -> DensityMatrix:
     """Convex combination (1-t) rho + t Phi(d) along the segment toward max entangled."""
     if not 0.0 <= t <= 1.0:
@@ -194,16 +184,6 @@ def tiles_upb_state() -> DensityMatrix:
     for psi in tiles_upb_vectors():
         proj += np.outer(psi, psi.conj())
     return DensityMatrix((np.eye(9) - proj) / 4.0, (3, 3))
-
-
-def haar_unitary(d: int, seed) -> np.ndarray:
-    """Haar-random unitary via QR of a complex Ginibre matrix."""
-    rng = np.random.default_rng(seed)
-    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    q, r = np.linalg.qr(g)
-    phases = np.diag(r).copy()
-    phases /= np.abs(phases)
-    return q * phases
 
 
 def random_density_block(d: int, n: int, seed, cols: int | None = None) -> np.ndarray:
@@ -280,8 +260,7 @@ def random_separable(dims: Dims, k: int, seed) -> tuple[DensityMatrix, ProductEn
 
 def tensor_power_bipartite(rho: DensityMatrix, n: int) -> DensityMatrix:
     """n-fold tensor power of a bipartite state, regrouped to the A^n : B^n cut."""
-    if n < 1:
-        raise ValueError("tensor power needs n >= 1")
+    n = _check_count("n", n)
     da, db = rho.dims
     check_total_dim((da * db) ** n)
     if n == 1:

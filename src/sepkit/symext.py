@@ -43,6 +43,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -514,10 +515,13 @@ def has_symmetric_extension(
     max_iters >= 1 are integers, tol is finite and > 0, and start is finite
     with shape (dA·dB^k, dA·dB^k).
     """
-    # written to fail on a NaN tol
-    if not (0.0 < tol < np.inf and max_iters >= 1):
+    k = _check_count("k", k)
+    # written to fail on a NaN or non-real tol; a max_iters of another type
+    # goes on to _check_count
+    too_few = isinstance(max_iters, Integral) and max_iters < 1
+    if too_few or not (isinstance(tol, Real) and 0.0 < tol < np.inf):
         raise ValueError(f"need a finite tol > 0 and max_iters >= 1, got {tol} and {max_iters}")
-    k, max_iters = _check_count("k", k), _check_count("max_iters", max_iters)
+    max_iters = _check_count("max_iters", max_iters)
     if start is not None and not np.all(np.isfinite(start)):
         raise ValueError("start holds NaN or Inf")
     problem = ExtensionProblem(rho, k)

@@ -24,9 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# tensor is unused here but kept importable: perfbench/spans.py traces the
-# structural maps at tomography.tensor among other lookup sites
-from .linalg import DensityMatrix, tensor  # noqa: F401
+from .linalg import DensityMatrix, tensor
+from .states import _check_count
 
 POVM_SUM_TOL = 1e-9
 DUALITY_TOL = 1e-8
@@ -143,17 +142,11 @@ def _hermitian_part(a: np.ndarray) -> np.ndarray:
 
 
 def product_povm(pa: Povm, pb: Povm) -> Povm:
-    """Local tensor POVM {P_n ⊗ Q_m}; duals factorize the same way."""
-    return Povm(
-        _kron_stack(pa.elements, pb.elements), _kron_stack(pa.duals, pb.duals), pa.dim * pb.dim
-    )
-
-
-def _kron_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Every a[n] ⊗ b[m] at index n * len(b) + m, entry for entry equal to `tensor`."""
-    (ma, da, _), (mb, db, _) = a.shape, b.shape
-    outer = a[:, None, :, None, :, None] * b[None, :, None, :, None, :]
-    return outer.reshape(ma * mb, da * db, da * db)
+    """Local tensor POVM {P_n ⊗ Q_m}, element n * len(pb) + m; duals factorize the same way."""
+    d = pa.dim * pb.dim
+    elements = tensor(pa.elements[:, None], pb.elements[None]).reshape(-1, d, d)
+    duals = tensor(pa.duals[:, None], pb.duals[None]).reshape(-1, d, d)
+    return Povm(elements, duals, d)
 
 
 def born_probabilities(rho: DensityMatrix, povm: Povm) -> np.ndarray:
@@ -174,8 +167,7 @@ def _born_distribution(rho: DensityMatrix, povm: Povm) -> np.ndarray:
 
 def sample_outcomes(rho: DensityMatrix, povm: Povm, shots: int, seed) -> OutcomeCounts:
     """i.i.d. categorical samples from the Born probabilities; deterministic per seed."""
-    if shots < 1:
-        raise ValueError("need at least one shot")
+    shots = _check_count("shots", shots)
     counts = _derived_rng(seed).multinomial(shots, _born_distribution(rho, povm))
     return OutcomeCounts(counts, shots)
 
@@ -231,10 +223,9 @@ def acceptance_probability(
     trials are drawn, reconstructed and measured together; the block size
     bounds memory only and does not change the result.
     """
+    n, trials = _check_count("n", n), _check_count("trials", trials)
     if n < 2:
         raise ValueError("need n >= 2 copies (n - 1 measured)")
-    if trials < 1:
-        raise ValueError("need at least one trial")
     # written to fail on NaN and Inf
     if not 0.0 < eps < np.inf:
         raise ValueError(f"eps must be finite and > 0, got {eps}")

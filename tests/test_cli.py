@@ -9,7 +9,9 @@ import pytest
 import sepkit.cli
 import sepkit.states
 from sepkit.cli import main, to_json
-from sepkit.criteria import ONE_SHOT_TESTS
+from sepkit.criteria import ONE_SHOT_TESTS, ppt_test
+from sepkit.statespec import parse_state_spec
+from sepkit.symext import DEFAULT_MAX_ITERS
 
 
 def run_cli(capsys, *argv):
@@ -100,7 +102,8 @@ class TestTilesFlag:
         # every 3 of the 5 local parts on each side span C^3 (Bennett et al.)
         assert min(position["min_abs_det_a"], position["min_abs_det_b"]) > 0.4
         assert position["max_second_schmidt"] < position["tol"]
-        assert cert["min_product_overlap"]["value"] > 1e-3  # the diagnostic bound agrees
+        # the exact test is the whole certificate: no heuristic overlap bound
+        assert set(cert) == {"general_position", "entangled"}
         assert res["flag"] == "entangled by UPB certificate despite PPT pass"
 
 
@@ -239,6 +242,16 @@ class TestStateCommands:
         assert res["trace"] == pytest.approx(1.0)
         assert res["ppt_margin"]["value"] >= -1e-10
 
+    @pytest.mark.parametrize("spec", ["tiles", "maxent:2", "sep:2:3:3:5"])
+    def test_show_ppt_margin_is_the_ppt_rule(self, capsys, spec):
+        code, out, _ = run_cli(capsys, "state", "show", "--state", spec, "--json")
+        assert code == 0
+        verdict = ppt_test(parse_state_spec(spec).state)
+        assert parse_report(out)["results"]["ppt_margin"] == {
+            "value": verdict.margin,
+            "tol": verdict.details["tol"],
+        }
+
     @pytest.mark.parametrize("spec", ["maxent:5", "isotropic:5:0.5", "random:5:5:1", "sep:5:5:2:1"])
     def test_show_rejects_state_above_dim_cap(self, capsys, monkeypatch, spec):
         monkeypatch.setattr(sepkit.states, "DIM_CAP", 16)
@@ -250,7 +263,7 @@ class TestStateCommands:
 
 class TestReportContract:
     def test_deterministic_modulo_timestamp(self, capsys):
-        argv = ["criteria", "--state", "random:2:2:5", "--seed", "11", "--json"]
+        argv = ["criteria", "--state", "random:2:2:5", "--json"]
         code1, out1, _ = run_cli(capsys, *argv)
         code2, out2, _ = run_cli(capsys, *argv)
         assert code1 == code2 == 0
@@ -335,6 +348,7 @@ class TestReportContract:
             ["geometry", "definetti", "--dim", "4", "--n", "1", "--k", "9", "--tol", "5"],
             ["state", "show", "--state", "tiles", "--seed", "3"],
             ["symext", "--state", "sep:2:2:1:4", "--k", "2", "--seed", "3"],
+            ["criteria", "--state", "maxent:2", "--seed", "5"],
             ["--json", "state", "show", "--state", "tiles"],
         ],
     )
@@ -354,6 +368,10 @@ class TestReportContract:
         assert report["config"]["tol"] == 1e-6
         assert report["results"]["t_star"]["tol"] == 1e-6
         assert "seed" not in report["config"]
+
+    def test_symext_max_iters_default_is_the_library_default(self, capsys):
+        _, out, _ = run_cli(capsys, "symext", "--state", "sep:2:2:1:4", "--k", "2", "--json")
+        assert parse_report(out)["config"]["max_iters"] == DEFAULT_MAX_ITERS
 
     def test_summary_names_seed_only_when_read(self, capsys):
         _, _, err = run_cli(capsys, "geometry", "definetti", "--dim", "4", "--n", "1", "--k", "9")
@@ -451,10 +469,10 @@ class TestReportWriter:
         assert strip_timestamp(out).count('"timestamp": "-"') == 1
 
 
-# calls in a row that exercise different subcommands and flags; the third and
-# fifth omit flags that an earlier call set
+# calls in a row that exercise different subcommands and flags; the third,
+# fifth and last omit flags that an earlier call set
 PARSER_SEQUENCE = [
-    ["criteria", "--state", "sep:2:2:2:3", "--only", "ppt,crossnorm", "--seed", "9", "--json"],
+    ["criteria", "--state", "sep:2:2:2:3", "--only", "ppt,crossnorm", "--json"],
     ["tomo", "accept", "--target", "maxent:2", "--source", "isotropic:2:0", "--n", "15",
      "--eps", "0.75", "--trials", "20", "--seed", "3"],
     ["criteria", "--state", "sep:2:2:2:3", "--only", "ppt"],
@@ -462,6 +480,8 @@ PARSER_SEQUENCE = [
     ["symext", "--state", "sep:2:2:1:4", "--k", "2"],
     ["geometry", "definetti", "--dim", "4", "--n", "1", "--k", "9"],
     ["state", "show", "--state", "maxent:2", "--json"],
+    ["tomo", "accept", "--target", "maxent:2", "--source", "isotropic:2:0", "--n", "15",
+     "--eps", "0.75", "--trials", "20"],
 ]
 
 
@@ -485,8 +505,10 @@ class TestParserCache:
 
     def test_flags_do_not_leak_into_the_next_call(self, capsys):
         configs = [parse_report(run_cli(capsys, *argv)[1])["config"] for argv in PARSER_SEQUENCE]
-        assert (configs[0]["seed"], configs[0]["json"], configs[0]["only"]) == (9, True, "ppt,crossnorm")
-        assert (configs[2]["seed"], configs[2]["json"], configs[2]["only"]) == (0, False, "ppt")
+        assert (configs[0]["json"], configs[0]["only"]) == (True, "ppt,crossnorm")
+        assert (configs[2]["json"], configs[2]["only"]) == (False, "ppt")
+        assert "seed" not in configs[0] and "seed" not in configs[2]
+        assert (configs[1]["seed"], configs[7]["seed"]) == (3, 0)
         assert (configs[3]["tol"], configs[4]["tol"]) == (1e-5, 1e-7)
         assert configs[4]["json"] is False
         assert all(c["out"] is None for c in configs)

@@ -14,12 +14,14 @@ from sepkit.criteria import (
 )
 from sepkit.linalg import DensityMatrix, tensor, trace_distance
 from sepkit.states import (
-    haar_unitary,
     max_entangled,
     maximally_mixed,
     random_density,
     random_separable,
 )
+
+from helpers import haar_unitary
+
 class TestMaxEntangledMargins:
     """Frozen verdicts for Phi(2); each margin known in closed form."""
     def setup_method(self):

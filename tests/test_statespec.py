@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from sepkit.serialize import save_density
 from sepkit.statespec import StateSpecError, parse_state_spec
 from sepkit.states import max_entangled, random_density, segment_state, maximally_mixed
+
+from helpers import save_density
 
 
 def test_maxent():

@@ -284,6 +284,9 @@ class TestFeasibility:
             {"tol": 0.0},
             {"tol": float("nan")},
             {"tol": float("inf")},
+            {"tol": "1e-7"},
+            {"tol": None},
+            {"tol": 1e-7j},
             {"max_iters": 0},
         ],
     )
@@ -298,12 +301,17 @@ class TestFeasibility:
         [
             (lambda state, ens: has_symmetric_extension(state, 2, max_iters=True), "max_iters"),
             (lambda state, ens: has_symmetric_extension(state, 2, max_iters=2.5), "max_iters"),
+            (lambda state, ens: has_symmetric_extension(state, 2, max_iters="5"), "max_iters"),
+            (lambda state, ens: has_symmetric_extension(state, 2, max_iters=None), "max_iters"),
             (lambda state, ens: has_symmetric_extension(state, 2.0), "k"),
             (lambda state, ens: has_symmetric_extension(state, True), "k"),
             (lambda state, ens: extend_separable(ens, 2.0), "k"),
             (lambda state, ens: ExtensionProblem(state, 2.0), "copies"),
         ],
-        ids=["max_iters-bool", "max_iters-float", "k-float", "k-bool", "extend-k-float", "problem-copies-float"],
+        ids=[
+            "max_iters-bool", "max_iters-float", "max_iters-str", "max_iters-none",
+            "k-float", "k-bool", "extend-k-float", "problem-copies-float",
+        ],
     )
     def test_rejects_non_integer_counts(self, call, name):
         state, ens = random_separable((2, 2), 3, 1)

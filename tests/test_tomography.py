@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from sepkit import tomography
+from sepkit.geometry import farness_certificate
 from sepkit.linalg import DensityMatrix, tensor
 from sepkit.states import (
     max_entangled,
@@ -13,6 +14,7 @@ from sepkit.states import (
     random_density,
     random_separable,
     segment_state,
+    tensor_power_bipartite,
     tiles_upb_state,
 )
 from sepkit.states import Ensemble
@@ -216,6 +218,15 @@ class TestProductPovm:
             for m in range(9):
                 assert np.array_equal(pp.elements[9 * n + m], tensor(pa.elements[n], pb.elements[m]))
                 assert np.array_equal(pp.duals[9 * n + m], tensor(pa.duals[n], pb.duals[m]))
+
+    def test_elements_are_np_kron_bit_for_bit(self):
+        pa, pb = build_ic_povm(2, 1), build_ic_povm(3, 2)
+        pp = product_povm(pa, pb)
+        for n in range(4):
+            for m in range(9):
+                got = pp.elements[9 * n + m], pp.duals[9 * n + m]
+                assert got[0].tobytes() == np.kron(pa.elements[n], pb.elements[m]).tobytes()
+                assert got[1].tobytes() == np.kron(pa.duals[n], pb.duals[m]).tobytes()
 
     def test_reconstructs_product_states(self):
         pa, pb = build_ic_povm(2, 6), build_ic_povm(2, 7)
@@ -489,3 +500,33 @@ class TestMixtureAcceptance:
         assert seps[0] <= seps[1] + 0.05
         assert seps[1] <= seps[2] + 0.05
         assert seps[2] >= 0.3
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda phi: acceptance_probability(phi, phi, 2.5, 0.5, 10, 0), "n"),
+        (lambda phi: acceptance_probability(phi, phi, 5, 0.5, True, 0), "trials"),
+        (lambda phi: sample_outcomes(phi, default_product_povm((2, 2), 0), 2.5, 0), "shots"),
+        (lambda phi: farness_certificate(phi, Ensemble(((1.0, phi),)), [4], 0.5, 2.5, 0), "trials"),
+        (lambda phi: farness_certificate(phi, Ensemble(((1.0, phi),)), [2.5], 0.5, 10, 0), "n"),
+        (lambda phi: tensor_power_bipartite(phi, True), "n"),
+    ],
+    ids=["accept-n-float", "accept-trials-bool", "shots-float", "farness-trials-float", "farness-n-float",
+         "tensor-power-bool"],
+)
+def test_counts_must_be_positive_integers(call, name):
+    with pytest.raises(ValueError, match=f"^{name} must be a positive integer"):
+        call(max_entangled(2))
+
+
+def test_numpy_integer_counts_accepted():
+    phi, source = max_entangled(2), segment_state(maximally_mixed((2, 2)), 0.8)
+    got = acceptance_probability(phi, source, np.int64(15), 0.75, np.int32(40), 3)
+    assert got == acceptance_probability(phi, source, 15, 0.75, 40, 3)
+    pov = default_product_povm((2, 2), 0)
+    counts = sample_outcomes(phi, pov, np.int64(7), 1)
+    assert counts.total == 7
+    assert counts.counts.tobytes() == sample_outcomes(phi, pov, 7, 1).counts.tobytes()
+    power = tensor_power_bipartite(phi, np.int64(2))
+    assert power.mat.tobytes() == tensor_power_bipartite(phi, 2).mat.tobytes()
