@@ -7,7 +7,8 @@ on the face of the state's support. A state with no extension ends with a
 Farkas witness W': Tr(W' rho) > 0 while symmetrize_b(W' (x) I) is negative
 definite, so no PSD extension X can have Tr(W' rho) = Tr(symmetrize_b(W' (x) I) X).
 The maximally entangled state has no 2-copy extension at all (monogamy): the
-face of its support is empty, so the search stops before its first iteration.
+face of its support is empty, so the search stops before its first iteration
+with W' = c I - P_ker, P_ker the projector onto its kernel.
 """
 
 import numpy as np
@@ -56,6 +57,10 @@ def main():
     res = has_symmetric_extension(max_entangled(2), 2)
     print(f"  {res.status} ({res.stop_reason}) after {res.iterations} iterations")
     print(f"  the empty face holds only X = 0, whose marginal misses rho by {res.residual:.4f}")
+    phi, w = max_entangled(2), res.farkas_witness
+    lifted = symmetrize_b(tensor(w, np.eye(2)), ExtensionProblem(phi, 2))
+    print(f"  Tr(W' rho) = {np.trace(w @ phi.mat).real:.4f} > 0, "
+          f"largest eigenvalue of symmetrize_b(W' (x) I) = {np.linalg.eigvalsh(lifted)[-1]:.4f} < 0")
     print("  (monogamy: a pure entangled state cannot share itself symmetrically)")
 
     print("\nhierarchy: a 3-copy witness traced down is a 2-copy witness:")

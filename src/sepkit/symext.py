@@ -5,7 +5,9 @@ operator X on A:B_1..B_k is invariant under every permutation of the B factors
 and has Tr_{B_2..B_k} X = rho. Every PSD extension of a rank-deficient rho has
 its range inside S = ∩_j (supp rho)_{A B_j} ⊗ C^{dB^(k-1)}, so X is sought on
 the face {V Z V† : Z PSD}, V an orthonormal basis of S (facial reduction). An
-empty face (S = 0) means no extension exists. The support of rho and the null
+empty face (S = 0) means no extension exists; there every block of
+symmetrize_b(P_ker ⊗ I) is positive definite, and W' = c·I − P_ker, c half
+their least eigenvalue, is a Farkas witness. The support of rho and the null
 space that defines S are cut only across an unambiguous spectral gap; failing
 that, as for full-rank rho, the search runs on the full cone.
 
@@ -103,7 +105,8 @@ class FeasibilityResult:
     # (block size dA·m_λ, multiplicity f_λ, face dimension) per Young diagram
     blocks: tuple[tuple[int, int, int], ...] = ()
     # on a farkas stop, a Hermitian W' on A:B with Tr(W' rho) > 0 and
-    # symmetrize_b(W' ⊗ I) negative definite on the searched face
+    # symmetrize_b(W' ⊗ I) negative definite on the searched face; on an
+    # empty-face stop, such a W' negative definite on the whole space
     farkas_witness: np.ndarray | None = None
 
 
@@ -420,14 +423,37 @@ def support_face(problem: ExtensionProblem, sw: SchurWeylBlocks) -> list[np.ndar
     when rho has full rank or when either spectral cut is ambiguous; no
     columns in every block means the face is {0} and rho has no extension.
     """
+    lifted = _lifted_kernel(problem, sw)
+    return None if lifted is None else _null_spaces(lifted[1])
+
+
+def _lifted_kernel(problem: ExtensionProblem, sw: SchurWeylBlocks) -> tuple[np.ndarray, list[np.ndarray]] | None:
+    """P_ker, the projector onto rho's kernel, and the blocks of symmetrize_b(P_ker ⊗ I).
+
+    None when rho has full rank or its kernel's spectral cut is ambiguous.
+    """
     da, db = problem.dim_a, problem.dim_b
     kernel = _null_spaces([problem.base.mat])
     if kernel is None or kernel[0].shape[1] == 0:
         return None
-    lifted = sw.lift(_regroup(kernel[0] @ kernel[0].conj().T, da, db))
-    return _null_spaces(
-        [_ungroup(lifted[:, lo:hi], da, m) for lo, hi, m in zip(sw.offsets, sw.offsets[1:], sw.irrep_dims)]
-    )
+    p_ker = kernel[0] @ kernel[0].conj().T
+    lifted = sw.lift(_regroup(p_ker, da, db))
+    return p_ker, [_ungroup(lifted[:, lo:hi], da, m) for lo, hi, m in zip(sw.offsets, sw.offsets[1:], sw.irrep_dims)]
+
+
+def _empty_face_witness(problem: ExtensionProblem, sw: SchurWeylBlocks, tol: float) -> np.ndarray | None:
+    """W' = (c·I − P_ker)/‖c·I − P_ker‖ on an empty face, or None unless both its margins exceed tol/2.
+
+    Every block of symmetrize_b(P_ker ⊗ I) is positive definite on an empty
+    face; with c half their least eigenvalue, symmetrize_b(W' ⊗ I) has
+    largest eigenvalue −c/‖·‖, and Tr(W' rho) is computed, not assumed c/‖·‖.
+    """
+    p_ker, blocks = _lifted_kernel(problem, sw)
+    c = 0.5 * min(float(np.linalg.eigvalsh(b)[0]) for b in blocks)
+    w = c * np.eye(len(p_ker)) - p_ker
+    norm = float(np.linalg.norm(w))
+    inside = float(np.trace(w @ problem.base.mat).real) / norm
+    return w / norm if min(inside, c / norm) > tol / 2 else None
 
 
 def verify_extension(x: np.ndarray, rho: DensityMatrix, k: int) -> dict:
@@ -503,6 +529,8 @@ def has_symmetric_extension(
     evaluates X(W) once, line-search trials included. It ends (status,
     stop_reason):
     - infeasible-evidence, empty-face: the face is {0}, after 0 iterations;
+      farkas_witness is W' = (c·I − P_ker)/‖c·I − P_ker‖ when both its
+      margins exceed tol/2 (see _empty_face_witness), else None;
     - feasible, marginal-within-tol: witness_extension X(W) has its marginal
       within tol of rho;
     - infeasible-evidence, farkas: farkas_witness W' has Tr(W' rho) and
@@ -535,8 +563,9 @@ def has_symmetric_extension(
         (da * m, f, da * m if b is None else b.shape[1]) for m, f, b in zip(sw.irrep_dims, sw.multiplicities, faces)
     )
     if not any(face_dim for _, _, face_dim in blocks):
+        witness = _empty_face_witness(problem, sw, tol)
         return FeasibilityResult(
-            "infeasible-evidence", float(np.linalg.norm(rho.mat)), 0, None, tol, "empty-face", blocks
+            "infeasible-evidence", float(np.linalg.norm(rho.mat)), 0, None, tol, "empty-face", blocks, witness
         )
     x0 = 0.0
     if start is not None:

@@ -142,6 +142,7 @@ class TestSymextCommand:
         res = parse_report(out)["results"]
         assert res["status"] == "infeasible-evidence"
         assert res["stop_reason"] == "empty-face"
+        assert res["farkas_witness"]["kind"] == "hermitian"
         # symmetric and antisymmetric blocks of 2 x 3 and 2 x 1, both with an empty face
         assert res["blocks"] == [
             {"size": 6, "multiplicity": 1, "face_dim": 0},

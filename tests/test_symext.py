@@ -206,7 +206,12 @@ class TestFeasibility:
         assert [b.shape[1] for b in support_face(problem, sw)] == [0] * len(sw.multiplicities)
         res = has_symmetric_extension(rho, k)
         assert (res.status, res.iterations, res.stop_reason) == ("infeasible-evidence", 0, "empty-face")
-        assert res.farkas_witness is None
+        # W' = c·I − P_ker: both margins equal c/‖W'‖ up to rounding, well above tol/2
+        w = res.farkas_witness
+        lifted = symmetrize_b(tensor(w, np.eye(2 ** (k - 1))), problem)
+        inside, top = np.trace(w @ rho.mat).real, np.linalg.eigvalsh(lifted)[-1]
+        assert inside == pytest.approx(-top, rel=1e-9)
+        assert inside > 0.08
         # X = 0 is all the empty face holds: the marginal defect is rho itself
         assert res.residual == pytest.approx(np.linalg.norm(rho.mat), rel=1e-15)
 

@@ -446,6 +446,43 @@ class TestAcceptance:
 
         assert peak_bytes(4 * TRIAL_BLOCK) < 1.5 * peak_bytes(TRIAL_BLOCK)
 
+    @pytest.mark.parametrize("d", [4, 9])
+    def test_norm_screen_decides_as_the_spectrum(self, d):
+        rng = np.random.default_rng(d)
+        g = rng.standard_normal((20, d, d)) + 1j * rng.standard_normal((20, d, d))
+        rows = [0.5 * (m + m.conj().T) for m in g]
+        # the rows on which a bound is tight: rank 1 (||D||_1 = ||D||_F) and a
+        # flat spectrum (||D||_1 = sqrt(d) ||D||_F)
+        rows.append(np.outer(g[0, :, 0], g[0, :, 0].conj()))
+        q = np.linalg.qr(g[1])[0]
+        rows.append((q * np.resize([1.0, -1.0], d)) @ q.conj().T)
+        delta = np.array(rows)
+        fro = np.linalg.norm(delta, axis=(1, 2))
+        trace_norm = np.sum(np.abs(np.linalg.eigvalsh(delta)), axis=1)
+        # eps on each bound and on the trace norm itself, and one ulp either side
+        for base in (*fro, *(np.sqrt(d) * fro), *trace_norm):
+            for eps in (np.nextafter(base, 0.0), base, np.nextafter(base, np.inf)):
+                expected = 0.5 * trace_norm <= eps / 2.0
+                assert np.array_equal(tomography._within_ball(delta, eps), expected)
+
+    def test_norm_screen_takes_no_spectrum_at_ten_qutrit_copies(self, monkeypatch):
+        eigvalsh = np.linalg.eigvalsh
+        rows = []
+
+        def counting(a):
+            rows.append(len(a))
+            return eigvalsh(a)
+
+        phi3, phi2 = max_entangled(3), max_entangled(2)
+        pov3, pov2 = default_product_povm((3, 3), 4), default_product_povm((2, 2), 2)
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        # every 10-copy estimate lies more than eps from the target in Frobenius norm
+        assert acceptance_probability(phi3, phi3, 10, 0.75, 300, 1, pov3) == 0.0
+        assert sum(rows) == 0
+        # the same count sees the trials the screen leaves open at d=4, n=500
+        assert 0.0 < acceptance_probability(phi2, phi2, 500, 0.75, 300, 1, pov2) < 1.0
+        assert 0 < sum(rows) < 300
+
 
 class TestMixtureAcceptance:
     def test_single_member_matches_acceptance(self):
